@@ -28,15 +28,14 @@ from .schedule import (
     Schedule,
     ScheduleEntry,
     Violation,
-    makespan,
     parse_schedule,
     render_gantt,
     validate_schedule,
     write_schedule,
 )
 from .qlearning import LearnerConfig, QTable, TrainingReport, greedy_rollout, train
-from .prepopulate import EpisodeTrace, backward_pass, heuristic_value
-from .division import SplitStrategy, combine, solve_divided, split
+from .prepopulate import EpisodeTrace, backward_pass
+from .division import DivisionConfig, SplitStrategy, combine, solve_divided, split
 from .baselines import (
     BaselineConfig,
     NodeBudgetExceeded,

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .environment import SchedulingEnv, WAIT
+from .environment import IDLE, SchedulingEnv, WAIT
 from .instance import Instance
 from .schedule import Schedule, ScheduleEntry
 
@@ -21,6 +21,7 @@ class BaselineConfig:
     mutation_rate: float = 0.2
     stagnation: int = 40
     node_budget: int = 2_000_000  # oracle
+    duration_mode: str = "mean"   # mwkr: mean | min | max
 
     def __post_init__(self):
         if min(self.episodes, self.population, self.generations,
@@ -29,6 +30,8 @@ class BaselineConfig:
         for rate in (self.crossover_rate, self.mutation_rate):
             if not 0 <= rate <= 1:
                 raise ValueError("rates must be in [0, 1]")
+        if self.duration_mode not in ("mean", "min", "max"):
+            raise ValueError(f"unknown duration_mode {self.duration_mode!r}")
 
 
 class NodeBudgetExceeded(RuntimeError):
@@ -211,8 +214,10 @@ def exhaustive_oracle(inst: Instance, cfg: BaselineConfig | None = None
     def lower_bound(env: SchedulingEnv) -> int:
         bound = env.clock
         for j, job in enumerate(inst.jobs):
-            t = env.clock + env.job_remaining[j]
-            start = env.job_op[j] + (1 if env.job_machine[j] != WAIT else 0)
+            t, start = env.clock, env.job_op[j]
+            if env.job_machine[j] != IDLE:
+                t += env.machine_remaining[env.job_machine[j]]
+                start += 1
             for op in job.operations[start:]:
                 t += op.min_duration()
             bound = max(bound, t)

@@ -25,74 +25,71 @@ from .schedule import (
 )
 from .solvers import SOLVERS, make_solver
 
-SOLVER_ORDER = ["rl", "rl-plain", "rl-divided", "rs", "fifo", "mwkr", "ga", "oracle"]
+
+class InputError(click.ClickException):
+    """Bad user input: a one-line `Error: ...` message and exit 2."""
+
+    exit_code = 2
 
 
-def _read_config(path: str | None) -> dict:
-    """Key-value defaults file: one `key = value` per line, '#' comments."""
+def _read_config(ctx: click.Context, param, path: str | None):
+    """Eager `--config` callback: `key = value` lines ('#' comments) become
+    defaults for the solver options.  Keys are option destinations (`parts`
+    for `--divide`); each value is typed and checked by its option, and
+    explicit flags still win."""
     if path is None:
-        return {}
-    values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        return
+    options = {p.name: p for p in ctx.command.params
+               if any(p.name in cls.params for cls, _ in SOLVERS.values())}
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read config {path}: {exc}") from None
+    defaults = {}
+    for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise click.UsageError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = value
-    return values
-
-
-def _coerce(value, like):
-    if isinstance(like, bool):
-        return value in ("1", "true", "yes", "on", True)
-    if like is None or isinstance(like, float):
-        return float(value)
-    if isinstance(like, int):
-        return int(value)
-    return value
-
-
-def _solver_overrides(cfg_file: dict, **flags) -> dict:
-    """Config-file values overridden by explicit command-line flags."""
-    merged = dict(flags)
-    for key, value in cfg_file.items():
-        if key in merged and merged[key] is None:
-            merged[key] = _coerce(value, _FLAG_TYPES.get(key))
-    return merged
-
-
-_FLAG_TYPES = {
-    "episodes": 0, "alpha": 0.0, "epsilon_start": 0.0, "epsilon_min": 0.0,
-    "epsilon_decay": 0.0, "seed": 0, "prepopulate": True,
-    "include_immediate_reward": True, "parts": 0, "time_budget": 0.0,
-    "population": 0, "generations": 0, "node_budget": 0,
-}
+        where = f"{path}:{lineno}"
+        key, sep, value = (part.strip() for part in line.partition("="))
+        key = key.replace("-", "_")
+        if not sep:
+            raise InputError(f"{where}: expected 'key = value'")
+        if key not in options:
+            raise InputError(
+                f"{where}: unknown key {key!r}; have {', '.join(sorted(options))}"
+            )
+        try:
+            defaults[key] = options[key].type_cast_value(ctx, value)
+        except click.BadParameter as exc:
+            raise InputError(f"{where}: {exc.format_message()}") from None
+    ctx.default_map = {**(ctx.default_map or {}), **defaults}
 
 
 def _load(path: str) -> Instance:
-    if path == "-":
-        return parse_instance(sys.stdin.read(), name="stdin")
     try:
+        if path == "-":
+            return parse_instance(sys.stdin.read(), name="stdin")
         return load_instance(path)
-    except OSError as exc:
-        raise click.ClickException(f"cannot read instance {path}: {exc}")
-    except InstanceError as exc:
-        raise click.ClickException(f"{path}: {exc}")
+    except (OSError, UnicodeDecodeError, InstanceError) as exc:
+        raise InputError(f"cannot read instance {path}: {exc}") from None
 
 
 def _run_cell(inst: Instance, solver_name: str, overrides: dict):
-    """Fit one solver on one instance; returns (schedule, cpu_seconds)."""
-    solver = make_solver(solver_name, **overrides)
-    cpu0 = time.process_time()
-    solver.fit(inst)
+    """Fit one solver on one instance; returns (schedule, cpu_seconds).
+    A parameter the solver rejects is a usage error."""
+    try:
+        solver = make_solver(solver_name, **overrides)
+        cpu0 = time.process_time()
+        solver.fit(inst)
+    except ValueError as exc:
+        raise InputError(f"{solver_name} on {inst.name}: {exc}") from None
     return solver.best_schedule_, time.process_time() - cpu0
 
 
 solver_option = click.option(
     "--solver", "solvers", multiple=True, required=True,
-    type=click.Choice(SOLVER_ORDER), help="Solver(s) to run."
+    type=click.Choice(list(SOLVERS)), help="Solver(s) to run."
 )
 instance_option = click.option(
     "--instance", "instances", multiple=True, required=True,
@@ -118,8 +115,9 @@ def common_solver_flags(f):
         click.option("--population", type=int, default=None),
         click.option("--generations", type=int, default=None),
         click.option("--node-budget", type=int, default=None),
-        click.option("--config", "config_path", type=click.Path(exists=True),
-                     default=None, help="Key-value defaults file."),
+        click.option("--config", type=click.Path(exists=True, dir_okay=False),
+                     is_eager=True, expose_value=False, callback=_read_config,
+                     help="Key-value defaults file; explicit flags win."),
     ]):
         f = deco(f)
     return f
@@ -137,9 +135,8 @@ def main():
 @click.option("--out", type=click.Path(), default=".", help="Output directory.")
 @click.option("--gantt", is_flag=True, help="Also write an SVG Gantt chart.")
 @click.option("--json", "json_out", is_flag=True, help="Also write JSON export.")
-def solve(instances, solvers, out, gantt, json_out, config_path, **flags):
+def solve(instances, solvers, out, gantt, json_out, **overrides):
     """Run solvers on instances and write schedule files."""
-    overrides = _solver_overrides(_read_config(config_path), **flags)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     failed = False
@@ -183,10 +180,9 @@ def solve(instances, solvers, out, gantt, json_out, config_path, **flags):
 @common_solver_flags
 @click.option("--out", type=click.Path(), default=None,
               help="Directory for table.txt / table.csv.")
-def bench(instances, solvers, out, config_path, **flags):
+def bench(instances, solvers, out, **overrides):
     """Comparison table of makespan and CPU seconds per solver."""
-    overrides = _solver_overrides(_read_config(config_path), **flags)
-    solvers = [s for s in SOLVER_ORDER if s in solvers]
+    solvers = [s for s in SOLVERS if s in solvers]
     rows = []
     for path in instances:
         inst = _load(path)
@@ -214,7 +210,7 @@ def bench(instances, solvers, out, config_path, **flags):
         for s in solvers:
             ms, cpu = cells[s]
             fields.append("NA" if ms is None else str(ms))
-            fields.append("NA" if cpu is None else str(round(cpu)))
+            fields.append("NA" if cpu is None else f"{cpu:.3f}")
         text.write(
             "  ".join(f.ljust(w) for f, w in zip(fields, widths)) + "\n"
         )

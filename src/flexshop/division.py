@@ -44,6 +44,23 @@ class InfeasibleConstraintError(RuntimeError):
     pass
 
 
+@dataclass
+class DivisionConfig(LearnerConfig):
+    """Stage-learner settings plus how to split the instance."""
+
+    parts: int = 2
+    strategy: SplitStrategy = SplitStrategy.BY_MEAN_DURATION
+    duration_mode: str = "mean"  # expected duration for BY_MEAN_DURATION
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.parts < 2:
+            raise ValueError(f"parts must be at least 2, got {self.parts}")
+        self.strategy = SplitStrategy(self.strategy)
+        if self.duration_mode not in ("mean", "max"):
+            raise ValueError(f"unknown duration_mode {self.duration_mode!r}")
+
+
 def split(inst: Instance, strategy: SplitStrategy, parts: int,
           duration_mode: str = "mean") -> tuple[list[Instance], SplitPlan]:
     """Partition each job's operation chain into `parts` contiguous segments.

@@ -12,7 +12,7 @@ which makes the cumulative episode reward exactly minus the makespan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .instance import Instance
 from .schedule import Schedule, ScheduleEntry
@@ -55,16 +55,6 @@ class StepResult:
     clock: int
 
 
-@dataclass
-class TraceStep:
-    """One action-trace record: what was observed, what was chosen, when."""
-
-    observation: Observation
-    action: int
-    allocation: Allocation
-    clock: int
-
-
 class SchedulingEnv:
     """Mutable single-episode environment over an immutable instance."""
 
@@ -79,17 +69,10 @@ class SchedulingEnv:
         self.clock = 0
         self.job_op = [0] * inst.job_count          # current operation index
         self.job_machine = [IDLE] * inst.job_count  # assigned machine or IDLE
-        self.job_remaining = [0] * inst.job_count
         self.machine_job = [IDLE] * inst.machine_count
         self.machine_remaining = [0] * inst.machine_count
         self.entries: list[ScheduleEntry] = []
-        self.trace: list[TraceStep] = []
-        self.rewards: list[int] = []
         self._legal: list[Allocation] | None = None
-        # Zero-operation jobs (instance division padding) are born finished.
-        for j, job in enumerate(inst.jobs):
-            if len(job) == 0:
-                self.job_op[j] = 0
         return self.observation()
 
     def clone(self) -> "SchedulingEnv":
@@ -98,12 +81,9 @@ class SchedulingEnv:
         other.clock = self.clock
         other.job_op = list(self.job_op)
         other.job_machine = list(self.job_machine)
-        other.job_remaining = list(self.job_remaining)
         other.machine_job = list(self.machine_job)
         other.machine_remaining = list(self.machine_remaining)
         other.entries = list(self.entries)
-        other.trace = list(self.trace)
-        other.rewards = list(self.rewards)
         other._legal = self._legal
         return other
 
@@ -186,7 +166,7 @@ class SchedulingEnv:
             raise SchedulingError(
                 f"action index {action} out of range 0..{len(legal) - 1}"
             )
-        return self._apply(legal[action], action)
+        return self._apply(legal[action])
 
     def step_allocation(self, allocation: Allocation) -> StepResult:
         """Step by allocation vector, bypassing index enumeration.
@@ -195,7 +175,7 @@ class SchedulingEnv:
         instances too large for full enumeration at every state.
         """
         self._check_executable(allocation)
-        return self._apply(tuple(allocation), action=-1)
+        return self._apply(tuple(allocation))
 
     def _check_executable(self, allocation: Allocation):
         if self.done:
@@ -221,8 +201,7 @@ class SchedulingEnv:
     def _on_assign(self, job: int, op_index: int, machine: int):
         """Hook for subclasses tracking assignment order."""
 
-    def _apply(self, allocation: Allocation, action: int) -> StepResult:
-        obs_before = self.observation()
+    def _apply(self, allocation: Allocation) -> StepResult:
         clock_before = self.clock
 
         assigned_any = any(m != WAIT for m in allocation)
@@ -232,7 +211,6 @@ class SchedulingEnv:
             op_index = self.job_op[job]
             duration = self.instance.jobs[job].operations[op_index].alternatives[machine]
             self.job_machine[job] = machine
-            self.job_remaining[job] = duration
             self.machine_job[machine] = job
             self.machine_remaining[machine] = duration
             self.entries.append(
@@ -262,19 +240,11 @@ class SchedulingEnv:
                         job = self.machine_job[m]
                         self.machine_job[m] = IDLE
                         self.job_machine[job] = IDLE
-                        self.job_remaining[job] = 0
                         self.job_op[job] += 1
-            for j in range(self.instance.job_count):
-                if self.job_remaining[j] > 0:
-                    self.job_remaining[j] = max(0, self.job_remaining[j] - dt)
             self._legal = None
 
-        reward = clock_before - self.clock
-        done = self.done
-        obs = self.observation()
-        self.trace.append(TraceStep(obs_before, action, allocation, clock_before))
-        self.rewards.append(reward)
-        return StepResult(obs, reward, done, self.clock)
+        return StepResult(self.observation(), clock_before - self.clock,
+                          self.done, self.clock)
 
     # -- results ----------------------------------------------------------
 

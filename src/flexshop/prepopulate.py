@@ -44,7 +44,3 @@ def backward_pass(q, trace: EpisodeTrace, include_immediate_reward: bool = False
         if not include_immediate_reward:
             cumulative += reward
 
-
-def heuristic_value(q, obs: tuple[int, ...], action: int) -> float:
-    """Stored heuristic for a state-action pair; 0 when never visited."""
-    return q.get(obs, action)

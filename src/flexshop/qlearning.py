@@ -9,15 +9,13 @@ that tracks the best schedule found.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 
 from .environment import DeadlockError, SchedulingEnv
 from .instance import Instance
 from .prepopulate import EpisodeTrace, backward_pass
 from .schedule import Schedule
-
-QTABLE_FORMAT_VERSION = 1
 
 
 class QTable:
@@ -55,25 +53,6 @@ class QTable:
             if value > best_value:
                 best, best_value = a, value
         return best
-
-    def dump(self) -> str:
-        lines = [f"flexshop-qtable v{QTABLE_FORMAT_VERSION}"]
-        for (obs, action), value in sorted(self._table.items()):
-            key = ",".join(str(x) for x in obs)
-            lines.append(f"{key} {action} {value!r}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def load(cls, text: str) -> "QTable":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("flexshop-qtable v"):
-            raise ValueError("missing q-table header")
-        q = cls()
-        for line in lines[1:]:
-            key, action, value = line.split()
-            obs = tuple(int(x) for x in key.split(","))
-            q.set(obs, int(action), float(value))
-        return q
 
 
 @dataclass

@@ -33,24 +33,18 @@ class Schedule:
 @dataclass(frozen=True)
 class Violation:
     kind: str  # job-overlap | machine-overlap | interruption | precedence |
-    #            completeness | capability
+    #            completeness | capability | negative-start
     message: str
-
-
-def makespan(sched: Schedule) -> int:
-    if not sched.entries:
-        raise ValueError("empty schedule")
-    return max(e.end for e in sched.entries)
 
 
 def validate_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
     """Check a schedule against the job-shop constraints.
 
     Returns an empty list iff the schedule is valid: every operation appears
-    exactly once, runs uninterrupted for its machine's duration on a capable
-    machine, same-job operations neither overlap nor break precedence order,
-    and no machine runs two operations at once.  Machine idleness is allowed
-    and never flagged.
+    exactly once, starts at time 0 or later, runs uninterrupted for its
+    machine's duration on a capable machine, same-job operations neither
+    overlap nor break precedence order, and no machine runs two operations
+    at once.  Machine idleness is allowed and never flagged.
     """
     violations: list[Violation] = []
 
@@ -78,6 +72,10 @@ def validate_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
                 )
 
     for (j, o), e in seen.items():
+        if e.start < 0:
+            violations.append(
+                Violation("negative-start", f"job {j} op {o}: starts at {e.start}")
+            )
         op = inst.jobs[j].operations[o]
         if e.machine not in op.alternatives:
             violations.append(
@@ -93,10 +91,6 @@ def validate_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
                     f"job {j} op {o}: interval [{e.start},{e.end}) does not match "
                     f"duration {op.alternatives[e.machine]} on machine {e.machine}",
                 )
-            )
-        elif e.end <= e.start:
-            violations.append(
-                Violation("interruption", f"job {j} op {o}: empty interval")
             )
 
     # Same-job checks: overlap and precedence order.

@@ -1,18 +1,19 @@
 """Estimator-style solver classes: construct with hyperparameters, call
 ``fit(instance)``, read ``best_schedule_`` / ``best_makespan_``.
 
-`get_params` / `set_params` follow the scikit-learn convention so solvers
-compose with grid-search-style tooling; parameters are exactly the
-constructor keyword arguments.
+Each class holds one validated config dataclass (`config_type`) and nothing
+else; `params` names the fields the solver takes.  `get_params` /
+`set_params` follow the scikit-learn convention over exactly those fields,
+and `set_params` validates the new config before anything changes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import inspect
 
 from . import baselines
-from .division import SplitStrategy, solve_divided
+from .baselines import BaselineConfig
+from .division import DivisionConfig, solve_divided
 from .instance import Instance
 from .qlearning import LearnerConfig, greedy_rollout, train
 from .schedule import Schedule, validate_schedule
@@ -22,28 +23,36 @@ class NotFittedError(RuntimeError, AttributeError):
     pass
 
 
+def _field_names(config_type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(config_type))
+
+
 class BaseSolver:
     """Shared parameter handling and fit bookkeeping."""
 
+    config_type: type = BaselineConfig
+    params: tuple[str, ...] = ()
+
+    def __init__(self, **params):
+        self.config = self.config_type()
+        self.set_params(**params)
+
     def get_params(self) -> dict:
-        names = [
-            p.name
-            for p in inspect.signature(type(self).__init__).parameters.values()
-            if p.name != "self" and p.kind is not p.VAR_KEYWORD
-        ]
-        return {name: getattr(self, name) for name in names}
+        return {name: getattr(self.config, name) for name in self.params}
 
     def set_params(self, **params) -> "BaseSolver":
-        valid = self.get_params()
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(
-                    f"unknown parameter {name!r} for {type(self).__name__}"
-                )
-            setattr(self, name, value)
+        unknown = sorted(set(params) - set(self.params))
+        if unknown:
+            raise ValueError(
+                f"unknown parameter(s) {unknown} for {type(self).__name__}"
+            )
+        self.config = dataclasses.replace(self.config, **params)
         return self
 
     def __getattr__(self, name: str):
+        # Parameters also read as attributes (`solver.generations`).
+        if name in type(self).params:
+            return getattr(self.config, name)
         # Estimated attributes use a trailing underscore and only exist
         # after fit(); surface a clearer error before then.
         if name.endswith("_") and not name.endswith("__"):
@@ -75,48 +84,17 @@ class BaseSolver:
     def fit(self, inst: Instance) -> "BaseSolver":
         raise NotImplementedError
 
-    def predict(self, inst: Instance) -> Schedule:
-        """Schedule for `inst`: the fitted result for the training instance."""
-        if not self.is_fitted:
-            raise NotFittedError(f"{type(self).__name__} is not fitted")
-        return self.best_schedule_
-
 
 class QLearningSolver(BaseSolver):
     """Tabular Q-learning, by default heuristic-guided (backward-pass
     prepopulation after every episode)."""
 
-    def __init__(self, alpha: float = 0.1, gamma: float = 1.0,
-                 epsilon_start: float = 1.0, epsilon_min: float = 0.05,
-                 epsilon_decay: float = 0.999, episodes: int = 10_000,
-                 test_interval: int = 100, seed: int = 0,
-                 prepopulate: bool = True,
-                 include_immediate_reward: bool = False,
-                 convergence_patience: int = 20,
-                 stop_on_convergence: bool = False,
-                 time_budget: float | None = None):
-        self.alpha = alpha
-        self.gamma = gamma
-        self.epsilon_start = epsilon_start
-        self.epsilon_min = epsilon_min
-        self.epsilon_decay = epsilon_decay
-        self.episodes = episodes
-        self.test_interval = test_interval
-        self.seed = seed
-        self.prepopulate = prepopulate
-        self.include_immediate_reward = include_immediate_reward
-        self.convergence_patience = convergence_patience
-        self.stop_on_convergence = stop_on_convergence
-        self.time_budget = time_budget
-
-    def _config(self) -> LearnerConfig:
-        accepted = {f.name for f in dataclasses.fields(LearnerConfig)}
-        params = {k: v for k, v in self.get_params().items() if k in accepted}
-        return LearnerConfig(**params)
+    config_type = LearnerConfig
+    params = _field_names(LearnerConfig)
 
     def fit(self, inst: Instance) -> "QLearningSolver":
         inst = self._check_instance(inst)
-        self.report_ = train(inst, self._config())
+        self.report_ = train(inst, self.config)
         self.q_table_ = self.report_.q
         return self._finish(self.report_.best_schedule, inst)
 
@@ -127,128 +105,79 @@ class QLearningSolver(BaseSolver):
         return greedy_rollout(inst, self.q_table_)
 
 
-class DividedQLearningSolver(QLearningSolver):
+class DividedQLearningSolver(BaseSolver):
     """Instance-division solver on top of the Q-learning stage learner."""
 
-    def __init__(self, parts: int = 2, strategy: str = "duration",
-                 duration_mode: str = "mean", **learner_params):
-        super().__init__(**learner_params)
-        self.parts = parts
-        self.strategy = strategy
-        self.duration_mode = duration_mode
-
-    def get_params(self) -> dict:
-        names = [
-            p.name
-            for p in inspect.signature(QLearningSolver.__init__).parameters.values()
-            if p.name != "self"
-        ]
-        params = {name: getattr(self, name) for name in names}
-        params.update(parts=self.parts, strategy=self.strategy,
-                      duration_mode=self.duration_mode)
-        return params
+    config_type = DivisionConfig
+    params = _field_names(DivisionConfig)
 
     def fit(self, inst: Instance) -> "DividedQLearningSolver":
         inst = self._check_instance(inst)
+        cfg = self.config
         schedule, self.stage_reports_ = solve_divided(
-            inst, SplitStrategy(self.strategy), self.parts, self._config(),
-            self.duration_mode,
+            inst, cfg.strategy, cfg.parts, cfg, cfg.duration_mode
         )
         return self._finish(schedule, inst)
 
 
 class RandomSamplingSolver(BaseSolver):
-    def __init__(self, episodes: int = 1000, seed: int = 0):
-        self.episodes = episodes
-        self.seed = seed
+    params = ("episodes", "seed")
 
     def fit(self, inst: Instance) -> "RandomSamplingSolver":
         inst = self._check_instance(inst)
-        cfg = baselines.BaselineConfig(episodes=self.episodes, seed=self.seed)
-        return self._finish(baselines.random_sampling(inst, cfg), inst)
+        return self._finish(baselines.random_sampling(inst, self.config), inst)
 
 
 class FifoSolver(BaseSolver):
-    def __init__(self):
-        pass
-
     def fit(self, inst: Instance) -> "FifoSolver":
         inst = self._check_instance(inst)
         return self._finish(baselines.fifo(inst), inst)
 
 
 class MwkrSolver(BaseSolver):
-    def __init__(self, duration_mode: str = "mean"):
-        self.duration_mode = duration_mode
+    params = ("duration_mode",)
 
     def fit(self, inst: Instance) -> "MwkrSolver":
         inst = self._check_instance(inst)
-        return self._finish(baselines.mwkr(inst, self.duration_mode), inst)
+        return self._finish(baselines.mwkr(inst, self.config.duration_mode), inst)
 
 
 class GeneticSolver(BaseSolver):
-    def __init__(self, population: int = 50, generations: int = 200,
-                 crossover_rate: float = 0.8, mutation_rate: float = 0.2,
-                 stagnation: int = 40, seed: int = 0):
-        self.population = population
-        self.generations = generations
-        self.crossover_rate = crossover_rate
-        self.mutation_rate = mutation_rate
-        self.stagnation = stagnation
-        self.seed = seed
+    params = ("population", "generations", "crossover_rate", "mutation_rate",
+              "stagnation", "seed")
 
     def fit(self, inst: Instance) -> "GeneticSolver":
         inst = self._check_instance(inst)
-        cfg = baselines.BaselineConfig(
-            population=self.population, generations=self.generations,
-            crossover_rate=self.crossover_rate,
-            mutation_rate=self.mutation_rate, stagnation=self.stagnation,
-            seed=self.seed,
-        )
-        return self._finish(baselines.genetic(inst, cfg), inst)
+        return self._finish(baselines.genetic(inst, self.config), inst)
 
 
 class ExhaustiveSolver(BaseSolver):
-    def __init__(self, node_budget: int = 2_000_000):
-        self.node_budget = node_budget
+    params = ("node_budget",)
 
     def fit(self, inst: Instance) -> "ExhaustiveSolver":
         inst = self._check_instance(inst)
-        cfg = baselines.BaselineConfig(node_budget=self.node_budget)
-        return self._finish(baselines.exhaustive_oracle(inst, cfg), inst)
+        return self._finish(baselines.exhaustive_oracle(inst, self.config), inst)
 
 
-SOLVERS: dict[str, type[BaseSolver]] = {
-    "rl": QLearningSolver,
-    "rl-plain": QLearningSolver,  # prepopulate forced off by make_solver
-    "rl-divided": DividedQLearningSolver,
-    "rs": RandomSamplingSolver,
-    "fifo": FifoSolver,
-    "mwkr": MwkrSolver,
-    "ga": GeneticSolver,
-    "oracle": ExhaustiveSolver,
+# Registry name -> (class, params fixed for that name).
+SOLVERS: dict[str, tuple[type[BaseSolver], dict]] = {
+    "rl": (QLearningSolver, {}),
+    "rl-plain": (QLearningSolver, {"prepopulate": False}),
+    "rl-divided": (DividedQLearningSolver, {}),
+    "rs": (RandomSamplingSolver, {}),
+    "fifo": (FifoSolver, {}),
+    "mwkr": (MwkrSolver, {}),
+    "ga": (GeneticSolver, {}),
+    "oracle": (ExhaustiveSolver, {}),
 }
 
 
 def make_solver(name: str, **overrides) -> BaseSolver:
-    """Build a solver by registry name, applying only the overrides the
-    solver's constructor understands."""
+    """Build a solver by registry name from the non-None overrides it
+    takes; the name's fixed params win over overrides."""
     if name not in SOLVERS:
         raise ValueError(f"unknown solver {name!r}; have {sorted(SOLVERS)}")
-    cls = SOLVERS[name]
-    accepted = {
-        p.name
-        for p in inspect.signature(cls.__init__).parameters.values()
-        if p.name not in ("self", "learner_params")
-    }
-    if issubclass(cls, QLearningSolver):
-        accepted |= {
-            p.name
-            for p in inspect.signature(QLearningSolver.__init__).parameters.values()
-            if p.name != "self"
-        }
-    kwargs = {k: v for k, v in overrides.items() if k in accepted and v is not None}
-    if name == "rl-plain":
-        kwargs["prepopulate"] = False
-    solver = cls(**kwargs)
-    return solver
+    cls, fixed = SOLVERS[name]
+    params = {k: v for k, v in overrides.items()
+              if k in cls.params and v is not None}
+    return cls(**{**params, **fixed})

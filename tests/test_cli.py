@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -69,7 +70,8 @@ class TestSolve:
             "solve", "--instance", str(tmp_path / "missing.fjs"),
             "--solver", "fifo", "--out", str(tmp_path),
         ])
-        assert result.exit_code != 0
+        assert result.exit_code == 2
+        assert result.output.startswith("Error: ")
 
     def test_config_file_defaults(self, runner, toy_path, tmp_path):
         cfg = tmp_path / "defaults.cfg"
@@ -101,6 +103,55 @@ class TestSolve:
         ])
         assert result.exit_code == 2
 
+    def test_config_keys_are_option_destinations(self, runner, toy_path,
+                                                  tmp_path):
+        cfg = tmp_path / "divide.cfg"
+        cfg.write_text("strategy = ops\nparts = 2\nepisodes = 20\n")
+        result = runner.invoke(main, [
+            "solve", "--instance", toy_path, "--solver", "rl-divided",
+            "--config", str(cfg), "--out", str(tmp_path),
+        ])
+        assert result.exit_code == 0, result.output
+        cfg.write_text("parts = 9\n")
+        result = runner.invoke(main, [
+            "solve", "--instance", toy_path, "--solver", "rl-divided",
+            "--config", str(cfg), "--out", str(tmp_path),
+        ])
+        assert result.exit_code == 2
+        assert "parts" in result.output
+
+
+# Each case: extra `solve` arguments, config-file text (or None), stdin text
+# (or None).  All are user errors: exit 2 with a one-line message.
+BAD_INPUTS = {
+    "config-seed-not-int": (["--solver", "rl"], "seed = abc\n", None),
+    "config-strategy-unknown": (["--solver", "rl-divided"],
+                                "strategy = halves\n", None),
+    "config-unknown-key": (["--solver", "fifo"], "colour = red\n", None),
+    "divide-beyond-ops": (["--solver", "rl-divided", "--divide", "9"],
+                          None, None),
+    "episodes-zero": (["--solver", "rl", "--episodes", "0"], None, None),
+    "population-zero": (["--solver", "ga", "--population", "0"], None, None),
+    "epsilon-decay-above-one": (["--solver", "rl", "--epsilon-decay", "2"],
+                                None, None),
+    "stdin-malformed-instance": (["--solver", "fifo"], None, "1 1\n1 1 1 0\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_a_one_line_usage_error(runner, toy_path, tmp_path, case):
+    args, config, stdin = BAD_INPUTS[case]
+    instance = toy_path if stdin is None else "-"
+    argv = ["solve", "--instance", instance, "--out", str(tmp_path), *args]
+    if config is not None:
+        (tmp_path / "c.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "c.cfg")]
+    result = runner.invoke(main, argv, input=stdin)
+    assert result.exit_code == 2, (result.output, result.exception)
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+    assert "Traceback" not in result.output
+
 
 class TestBench:
     def test_table_and_csv(self, runner, toy_path, tmp_path):
@@ -113,6 +164,10 @@ class TestBench:
         table = (tmp_path / "table.txt").read_text()
         assert table in result.output or result.output.startswith(table)
         assert "fifo" in table and "oracle:cpu" in table
+        # CPU cells are seconds with millisecond resolution.
+        cpu_cells = table.splitlines()[1].split()[3::2]
+        assert len(cpu_cells) == 3
+        assert all(re.fullmatch(r"\d+\.\d{3}", c) for c in cpu_cells), table
         csv_text = (tmp_path / "table.csv").read_text()
         assert csv_text.splitlines()[0].startswith("instance,size,fifo")
         assert "toy2x3,2x3" in csv_text

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from flexshop.environment import SchedulingEnv
-from flexshop.prepopulate import EpisodeTrace, backward_pass, heuristic_value
+from flexshop.prepopulate import EpisodeTrace, backward_pass
 from flexshop.qlearning import QTable
 
 from conftest import tiny_instance
@@ -49,14 +49,14 @@ class TestHandTraces:
 
 class TestHeuristicValue:
     def test_unseen_default(self):
-        assert heuristic_value(QTable(), S1, 0) == 0
+        assert QTable().get(S1, 0) == 0
 
     def test_after_passes(self):
         q = QTable()
         backward_pass(q, EpisodeTrace(list(PAIRS), [-5, -7, -8]))
-        assert heuristic_value(q, S1, 0) == -15
+        assert q.get(S1, 0) == -15
         backward_pass(q, EpisodeTrace(list(PAIRS), [-5, -6, -4]))
-        assert heuristic_value(q, S1, 0) == -10
+        assert q.get(S1, 0) == -10
 
 
 def random_traces(inst, episodes, seed):

@@ -4,12 +4,12 @@ from random import Random
 
 import pytest
 
+from flexshop.baselines import fifo
 from flexshop.environment import SchedulingEnv
 from flexshop.instance import parse_instance
 from flexshop.schedule import (
     Schedule,
     ScheduleEntry,
-    makespan,
     parse_schedule,
     render_gantt,
     schedule_to_json,
@@ -34,18 +34,18 @@ def kinds(violations) -> set[str]:
 
 class TestMakespan:
     def test_single_entry(self):
-        assert makespan(Schedule.from_entries([ScheduleEntry(0, 0, 0, 0, 5)])) == 5
+        assert Schedule.from_entries([ScheduleEntry(0, 0, 0, 0, 5)]).makespan == 5
 
     def test_parallel_jobs(self):
         sched = Schedule.from_entries(
             [ScheduleEntry(0, 0, 0, 0, 10), ScheduleEntry(1, 0, 1, 0, 12)]
         )
-        assert makespan(sched) == 12
+        assert sched.makespan == 12
 
     def test_order_invariant(self, toy):
         sched = random_schedule(toy)
         flipped = Schedule.from_entries(tuple(reversed(sched.entries)))
-        assert makespan(flipped) == makespan(sched)
+        assert flipped.makespan == sched.makespan
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -101,6 +101,13 @@ class TestValidator:
             [ScheduleEntry(0, 0, 0, 0, 5), ScheduleEntry(0, 0, 0, 5, 10)]
         )
         assert kinds(validate_schedule(inst, bad)) == {"completeness"}
+
+    def test_negative_start(self, toy):
+        shifted = [ScheduleEntry(e.job, e.op, e.machine, e.start - 100, e.end - 100)
+                   for e in fifo(toy).entries]
+        found = validate_schedule(toy, Schedule.from_entries(shifted))
+        assert kinds(found) == {"negative-start"}
+        assert len(found) == sum(1 for e in shifted if e.start < 0)
 
     def test_capability(self):
         inst = parse_instance("1 2\n1 1 1 5\n")

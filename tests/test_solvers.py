@@ -43,6 +43,30 @@ class TestEstimatorApi:
         sched = solver.predict(toy)
         assert validate_schedule(toy, sched) == []
 
+    def test_set_params_validates_and_keeps_old_config(self):
+        solver = QLearningSolver(episodes=50)
+        with pytest.raises(ValueError):
+            solver.set_params(episodes=0)
+        assert solver.get_params()["episodes"] == 50
+
+    def test_constructor_validates(self):
+        with pytest.raises(ValueError):
+            QLearningSolver(epsilon_decay=2)
+        with pytest.raises(ValueError):
+            DividedQLearningSolver(strategy="halves")
+        with pytest.raises(ValueError):
+            GeneticSolver(population=0)
+
+    def test_params_read_as_attributes(self):
+        assert GeneticSolver(generations=7).generations == 7
+        # fifo takes no parameters, so config fields stay hidden.
+        fifo = make_solver("fifo")
+        assert fifo.get_params() == {}
+        assert not hasattr(fifo, "generations")
+
+    def test_only_learners_predict(self):
+        assert not hasattr(make_solver("fifo"), "predict")
+
     def test_fit_returns_self(self, toy):
         solver = QLearningSolver(episodes=50)
         assert solver.fit(toy) is solver
@@ -66,6 +90,11 @@ class TestMakeSolver:
         # episodes applies to rl but not to fifo; fifo should ignore it.
         solver = make_solver("fifo", episodes=123)
         assert "episodes" not in solver.get_params()
+
+    def test_divided_params_extend_learner_params(self):
+        params = make_solver("rl-divided").get_params()
+        assert list(params) == [*QLearningSolver().get_params(),
+                                "parts", "strategy", "duration_mode"]
 
     def test_divided_solver(self, toy):
         solver = DividedQLearningSolver(parts=2, strategy=SplitStrategy.BY_OP_COUNT,
