@@ -69,14 +69,13 @@ def _dispatch(inst: Instance, priority) -> Schedule:
     """
     env = SchedulingEnv(inst)
     while not env.done:
-        candidates = [
-            j for j in range(inst.job_count) if env._assignable_machines(j)
-        ]
+        options = env._assignable()
+        candidates = [j for j in range(inst.job_count) if options[j]]
         candidates.sort(key=lambda j: (tuple(-p for p in priority(env, j)), j))
         allocation = [WAIT] * inst.job_count
         taken: set[int] = set()
         for j in candidates:
-            free = [m for m in env._assignable_machines(j) if m not in taken]
+            free = [m for m in options[j] if m not in taken]
             if not free:
                 continue
             op = inst.jobs[j].operations[env.job_op[j]]

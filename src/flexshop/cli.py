@@ -76,7 +76,7 @@ def _load(path: str) -> Instance:
 
 
 def _run_cell(inst: Instance, solver_name: str, overrides: dict):
-    """Fit one solver on one instance; returns (schedule, cpu_seconds).
+    """Fit one solver on one instance; returns (fitted solver, cpu_seconds).
     A parameter the solver rejects is a usage error."""
     try:
         solver = make_solver(solver_name, **overrides)
@@ -84,7 +84,7 @@ def _run_cell(inst: Instance, solver_name: str, overrides: dict):
         solver.fit(inst)
     except ValueError as exc:
         raise InputError(f"{solver_name} on {inst.name}: {exc}") from None
-    return solver.best_schedule_, time.process_time() - cpu0
+    return solver, time.process_time() - cpu0
 
 
 solver_option = click.option(
@@ -145,11 +145,12 @@ def solve(instances, solvers, out, gantt, json_out, **overrides):
         for name in solvers:
             stem = f"{inst.name}__{name}"
             try:
-                schedule, cpu = _run_cell(inst, name, overrides)
+                solver, cpu = _run_cell(inst, name, overrides)
             except NodeBudgetExceeded as exc:
                 click.echo(f"{stem}: budget exceeded: {exc}", err=True)
                 failed = True
                 continue
+            schedule = solver.best_schedule_
             violations = validate_schedule(inst, schedule)
             if violations:
                 click.echo(f"{stem}: INVALID schedule: {violations}", err=True)
@@ -164,9 +165,11 @@ def solve(instances, solvers, out, gantt, json_out, **overrides):
                 (out_dir / f"{stem}.json").write_text(
                     schedule_to_json(schedule, inst.name)
                 )
+            # The seed the solver ran with; fifo, mwkr and oracle take none.
+            seed = solver.get_params().get("seed")
             log = (
                 f"instance {inst.name}\nsolver {name}\n"
-                f"seed {overrides.get('seed')}\n"
+                f"seed {'none' if seed is None else seed}\n"
                 f"makespan {schedule.makespan}\ncpu_seconds {cpu:.3f}\n"
             )
             (out_dir / f"{stem}.log").write_text(log)
@@ -190,7 +193,8 @@ def bench(instances, solvers, out, **overrides):
         cells = {}
         for name in solvers:
             try:
-                schedule, cpu = _run_cell(inst, name, overrides)
+                solver, cpu = _run_cell(inst, name, overrides)
+                schedule = solver.best_schedule_
                 if validate_schedule(inst, schedule):
                     cells[name] = (None, None)
                 else:
@@ -244,7 +248,7 @@ def validate(instance_path, schedule_path):
     try:
         schedule = parse_schedule(Path(schedule_path).read_text())
     except (OSError, ValueError) as exc:
-        raise click.ClickException(f"{schedule_path}: {exc}")
+        raise InputError(f"cannot read schedule {schedule_path}: {exc}") from None
     violations = validate_schedule(inst, schedule)
     if not violations:
         click.echo(f"ok: makespan {schedule.makespan}")

@@ -56,10 +56,32 @@ class StepResult:
 
 
 class SchedulingEnv:
-    """Mutable single-episode environment over an immutable instance."""
+    """Mutable single-episode environment over an immutable instance.
+
+    Besides the public per-job and per-machine arrays, the state keeps two
+    counters and one cache so that no query rescans the whole state:
+    ``_unfinished`` (jobs with operations left, so ``done`` is a test for 0),
+    ``_busy`` (machines with ``machine_remaining > 0``) and ``_options``, the
+    per-job assignable machines at the current state, which the skip loop
+    and the next ``legal_allocations`` share.  ``_options`` and ``_legal``
+    are ``None`` until first needed after each state change.
+    """
 
     def __init__(self, instance: Instance):
         self.instance = instance
+        # Per (job, op): capable machines ascending, and machine -> duration.
+        # Each job's machine row ends with an empty entry for "finished".
+        self._op_machines = tuple(
+            tuple(tuple(op.machines()) for op in job.operations) + ((),)
+            for job in instance.jobs
+        )
+        self._op_durations = tuple(
+            tuple(op.alternatives for op in job.operations)
+            for job in instance.jobs
+        )
+        # Only a subclass that overrides the filter hook pays for calling it.
+        self._filters = (type(self)._assignment_allowed
+                         is not SchedulingEnv._assignment_allowed)
         self.reset()
 
     # -- episode state ----------------------------------------------------
@@ -72,54 +94,63 @@ class SchedulingEnv:
         self.machine_job = [IDLE] * inst.machine_count
         self.machine_remaining = [0] * inst.machine_count
         self.entries: list[ScheduleEntry] = []
+        self._unfinished = sum(1 for ops in self._op_machines if ops[0])
+        self._busy = 0
+        self._options: list[list[int]] | None = None
         self._legal: list[Allocation] | None = None
         return self.observation()
 
     def clone(self) -> "SchedulingEnv":
         other = self.__class__.__new__(self.__class__)
         other.instance = self.instance
+        other._op_machines = self._op_machines
+        other._op_durations = self._op_durations
+        other._filters = self._filters
         other.clock = self.clock
         other.job_op = list(self.job_op)
         other.job_machine = list(self.job_machine)
         other.machine_job = list(self.machine_job)
         other.machine_remaining = list(self.machine_remaining)
         other.entries = list(self.entries)
+        other._unfinished = self._unfinished
+        other._busy = self._busy
+        # Both caches are replaced, never mutated, so sharing them is safe.
+        other._options = self._options
         other._legal = self._legal
         return other
 
     @property
     def done(self) -> bool:
-        return all(
-            self.job_op[j] >= len(self.instance.jobs[j])
-            for j in range(self.instance.job_count)
-        )
+        return self._unfinished == 0
 
     def observation(self) -> Observation:
         return Observation(tuple(self.job_machine), tuple(self.job_op))
 
     # -- legal allocations ------------------------------------------------
 
-    def _assignable_machines(self, job: int) -> list[int]:
-        """Free machines able to run `job`'s current operation, ascending id."""
-        if self.job_machine[job] != IDLE:
-            return []
-        op_index = self.job_op[job]
-        if op_index >= len(self.instance.jobs[job]):
-            return []
-        op = self.instance.jobs[job].operations[op_index]
-        return [
-            m for m in op.machines()
-            if self.machine_job[m] == IDLE and self._assignment_allowed(job, op_index, m)
-        ]
+    def _assignable(self) -> list[list[int]]:
+        """Per job, the free machines able to run its current operation,
+        ascending id; empty for busy and finished jobs.  Cached per state."""
+        options = self._options
+        if options is None:
+            machine_job = self.machine_job
+            options = [
+                [m for m in ops[op] if machine_job[m] == IDLE]
+                if machine == IDLE else []
+                for ops, op, machine
+                in zip(self._op_machines, self.job_op, self.job_machine)
+            ]
+            if self._filters:
+                options = [
+                    [m for m in opts if self._assignment_allowed(job, op, m)]
+                    for job, (opts, op) in enumerate(zip(options, self.job_op))
+                ]
+            self._options = options
+        return options
 
     def _assignment_allowed(self, job: int, op_index: int, machine: int) -> bool:
         """Hook for subclasses that constrain assignments further."""
         return True
-
-    def _has_nonwait(self) -> bool:
-        return any(
-            self._assignable_machines(j) for j in range(self.instance.job_count)
-        )
 
     def legal_allocations(self) -> list[Allocation]:
         """All executable-and-reasonable allocations, in a fixed order.
@@ -132,29 +163,31 @@ class SchedulingEnv:
         if self._legal is not None:
             return self._legal
 
-        n = self.instance.job_count
-        options = [self._assignable_machines(j) for j in range(n)]
-        result: list[Allocation] = []
-        current = [WAIT] * n
-
-        def expand(job: int, used: int):
-            if job == n:
-                result.append(tuple(current))
-                return
-            for m in options[job]:
-                if used & (1 << m):
-                    continue
-                current[job] = m
-                expand(job + 1, used | (1 << m))
-            current[job] = WAIT
-            expand(job + 1, used)
-
-        expand(0, 0)
+        # Extend prefixes one job with options at a time; every other job is
+        # WAIT in every vector.  Each prefix's extensions are appended in the
+        # per-job order (machines ascending, WAIT last), so the list stays
+        # in lexicographic order.
+        partials: list[tuple[Allocation, int]] = [((), 0)]  # (prefix, used)
+        done_upto = 0
+        for job, opts in enumerate(self._assignable()):
+            if not opts:
+                continue
+            gap = (WAIT,) * (job - done_upto)
+            extended = []
+            for prefix, used in partials:
+                head = prefix + gap
+                for m in opts:
+                    if not used & (1 << m):
+                        extended.append((head + (m,), used | (1 << m)))
+                extended.append((head + (WAIT,), used))
+            partials = extended
+            done_upto = job + 1
+        tail = (WAIT,) * (self.instance.job_count - done_upto)
+        result = [prefix + tail for prefix, _ in partials]
         # The all-WAIT vector is enumerated last.  Drop it when it is
         # unreasonable: in the all-idle state, or when it is the only option.
-        all_idle = all(r == 0 for r in self.machine_remaining)
-        if all_idle or len(result) == 1:
-            result = result[:-1]
+        if self._busy == 0 or len(result) == 1:
+            result.pop()
         self._legal = result
         return result
 
@@ -182,20 +215,19 @@ class SchedulingEnv:
             raise SchedulingError("step on terminal state")
         if len(allocation) != self.instance.job_count:
             raise SchedulingError("allocation length mismatch")
+        options = self._assignable()
         used: set[int] = set()
-        any_assigned = False
         for job, machine in enumerate(allocation):
             if machine == WAIT:
                 continue
-            any_assigned = True
             if machine in used:
                 raise SchedulingError(f"machine {machine} assigned twice")
             used.add(machine)
-            if machine not in self._assignable_machines(job):
+            if machine not in options[job]:
                 raise SchedulingError(
                     f"job {job} cannot be assigned machine {machine} now"
                 )
-        if not any_assigned and all(r == 0 for r in self.machine_remaining):
+        if not used and self._busy == 0:
             raise SchedulingError("pure wait is not legal in an all-idle state")
 
     def _on_assign(self, job: int, op_index: int, machine: int):
@@ -203,45 +235,54 @@ class SchedulingEnv:
 
     def _apply(self, allocation: Allocation) -> StepResult:
         clock_before = self.clock
+        job_op = self.job_op
+        job_machine = self.job_machine
+        machine_job = self.machine_job
+        remaining = self.machine_remaining
 
-        assigned_any = any(m != WAIT for m in allocation)
+        assigned_any = False
         for job, machine in enumerate(allocation):
             if machine == WAIT:
                 continue
-            op_index = self.job_op[job]
-            duration = self.instance.jobs[job].operations[op_index].alternatives[machine]
-            self.job_machine[job] = machine
-            self.machine_job[machine] = job
-            self.machine_remaining[machine] = duration
+            assigned_any = True
+            op_index = job_op[job]
+            duration = self._op_durations[job][op_index][machine]
+            job_machine[job] = machine
+            machine_job[machine] = job
+            remaining[machine] = duration
+            self._busy += 1
             self.entries.append(
                 ScheduleEntry(job, op_index, machine, self.clock, self.clock + duration)
             )
             self._on_assign(job, op_index, machine)
-        self._legal = None
+        self._options = self._legal = None
 
         # Skip intermediate states: advance to assignment completions until a
         # non-wait action exists or the episode ends.  A pure-wait action
         # explicitly holds until the next completion, so it always advances
         # at least once even if non-wait actions were already available.
         force_advance = not assigned_any
-        while not self.done and (force_advance or not self._has_nonwait()):
+        while not self.done and (force_advance or not any(self._assignable())):
             force_advance = False
-            busy = [r for r in self.machine_remaining if r > 0]
-            if not busy:
+            if self._busy == 0:
                 raise DeadlockError(
                     "no running machine and no possible assignment"
                 )
-            dt = min(busy)
+            dt = min(filter(None, remaining))  # idle machines hold 0
             self.clock += dt
-            for m in range(self.instance.machine_count):
-                if self.machine_remaining[m] > 0:
-                    self.machine_remaining[m] -= dt
-                    if self.machine_remaining[m] == 0:
-                        job = self.machine_job[m]
-                        self.machine_job[m] = IDLE
-                        self.job_machine[job] = IDLE
-                        self.job_op[job] += 1
-            self._legal = None
+            for m, r in enumerate(remaining):
+                if r > 0:
+                    r -= dt
+                    remaining[m] = r
+                    if r == 0:
+                        job = machine_job[m]
+                        machine_job[m] = IDLE
+                        job_machine[job] = IDLE
+                        job_op[job] += 1
+                        self._busy -= 1
+                        if not self._op_machines[job][job_op[job]]:
+                            self._unfinished -= 1
+            self._options = self._legal = None
 
         return StepResult(self.observation(), clock_before - self.clock,
                           self.done, self.clock)

@@ -169,6 +169,8 @@ def parse_schedule(text: str) -> Schedule:
             job, op, machine, start, end = (int(p) for p in parts)
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer field") from None
+        if start < 0 or end < 0:
+            raise ValueError(f"line {lineno}: negative time")
         entries.append(ScheduleEntry(job, op, machine, start, end))
     if not entries:
         raise ValueError("schedule file holds no entries")

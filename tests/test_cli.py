@@ -94,6 +94,18 @@ class TestSolve:
         assert result.exit_code == 0, result.output
         assert "seed 8" in (tmp_path / "toy2x3__rl.log").read_text()
 
+    def test_log_reports_the_seed_used(self, runner, toy_path, tmp_path):
+        # Without --seed the learner runs with its default seed; fifo has none.
+        result = runner.invoke(main, [
+            "solve", "--instance", toy_path, "--solver", "rl",
+            "--solver", "fifo", "--episodes", "20", "--out", str(tmp_path),
+        ])
+        assert result.exit_code == 0, result.output
+        rl_log = (tmp_path / "toy2x3__rl.log").read_text().splitlines()
+        fifo_log = (tmp_path / "toy2x3__fifo.log").read_text().splitlines()
+        assert "seed 0" in rl_log
+        assert "seed none" in fifo_log
+
     def test_malformed_config(self, runner, toy_path, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("episodes\n")
@@ -121,31 +133,49 @@ class TestSolve:
         assert "parts" in result.output
 
 
-# Each case: extra `solve` arguments, config-file text (or None), stdin text
-# (or None).  All are user errors: exit 2 with a one-line message.
+# Each case: command line ({toy} is the toy instance, {tmp} a temporary
+# directory), files to write into {tmp} first, and stdin text (or None).
+# All are user errors: exit 2 with a one-line message.
+SOLVE = ["solve", "--instance", "{toy}", "--out", "{tmp}"]
+CONFIG = ["--config", "{tmp}/c.cfg"]
 BAD_INPUTS = {
-    "config-seed-not-int": (["--solver", "rl"], "seed = abc\n", None),
-    "config-strategy-unknown": (["--solver", "rl-divided"],
-                                "strategy = halves\n", None),
-    "config-unknown-key": (["--solver", "fifo"], "colour = red\n", None),
-    "divide-beyond-ops": (["--solver", "rl-divided", "--divide", "9"],
-                          None, None),
-    "episodes-zero": (["--solver", "rl", "--episodes", "0"], None, None),
-    "population-zero": (["--solver", "ga", "--population", "0"], None, None),
-    "epsilon-decay-above-one": (["--solver", "rl", "--epsilon-decay", "2"],
-                                None, None),
-    "stdin-malformed-instance": (["--solver", "fifo"], None, "1 1\n1 1 1 0\n"),
+    "config-seed-not-int": ([*SOLVE, "--solver", "rl", *CONFIG],
+                            {"c.cfg": "seed = abc\n"}, None),
+    "config-strategy-unknown": ([*SOLVE, "--solver", "rl-divided", *CONFIG],
+                                {"c.cfg": "strategy = halves\n"}, None),
+    "config-unknown-key": ([*SOLVE, "--solver", "fifo", *CONFIG],
+                           {"c.cfg": "colour = red\n"}, None),
+    "divide-beyond-ops": ([*SOLVE, "--solver", "rl-divided", "--divide", "9"],
+                          {}, None),
+    "episodes-zero": ([*SOLVE, "--solver", "rl", "--episodes", "0"], {}, None),
+    "population-zero": ([*SOLVE, "--solver", "ga", "--population", "0"],
+                        {}, None),
+    "epsilon-decay-above-one": ([*SOLVE, "--solver", "rl",
+                                 "--epsilon-decay", "2"], {}, None),
+    "stdin-malformed-instance": (["solve", "--instance", "-", "--out", "{tmp}",
+                                  "--solver", "fifo"], {}, "1 1\n1 1 1 0\n"),
+    "validate-missing-schedule": (["validate", "{toy}", "{tmp}/missing.sched"],
+                                  {}, None),
+    "validate-unreadable-schedule": (["validate", "{toy}", "{tmp}"], {}, None),
+    "validate-undecodable-schedule": (["validate", "{toy}", "{tmp}/b.sched"],
+                                      {"b.sched": b"\xff\xfe\n"}, None),
+    "validate-malformed-schedule": (["validate", "{toy}", "{tmp}/b.sched"],
+                                    {"b.sched": "not a schedule\n"}, None),
+    "validate-negative-time": (["validate", "{toy}", "{tmp}/b.sched"],
+                               {"b.sched": "0 0 0 -10 -2\n"}, None),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_is_a_one_line_usage_error(runner, toy_path, tmp_path, case):
-    args, config, stdin = BAD_INPUTS[case]
-    instance = toy_path if stdin is None else "-"
-    argv = ["solve", "--instance", instance, "--out", str(tmp_path), *args]
-    if config is not None:
-        (tmp_path / "c.cfg").write_text(config)
-        argv += ["--config", str(tmp_path / "c.cfg")]
+    argv, files, stdin = BAD_INPUTS[case]
+    for name, content in files.items():
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+    argv = [arg.format(toy=toy_path, tmp=tmp_path) for arg in argv]
     result = runner.invoke(main, argv, input=stdin)
     assert result.exit_code == 2, (result.output, result.exception)
     lines = result.output.strip().splitlines()
@@ -208,9 +238,3 @@ class TestValidate:
         result = runner.invoke(main, ["validate", toy_path, str(tampered)])
         assert result.exit_code == 1
         assert "completeness" in result.output
-
-    def test_unparseable_schedule(self, runner, toy_path, tmp_path):
-        bad = tmp_path / "bad.sched"
-        bad.write_text("not a schedule\n")
-        result = runner.invoke(main, ["validate", toy_path, str(bad)])
-        assert result.exit_code == 1

@@ -4,9 +4,16 @@ from itertools import product
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from flexshop.division import (
+    ConstrainedSchedulingEnv,
+    PolicyConstraint,
+    SplitStrategy,
+    combine,
+    split,
+)
 from flexshop.environment import (
     IDLE,
     WAIT,
@@ -20,13 +27,16 @@ from flexshop.schedule import validate_schedule
 from conftest import tiny_instance
 
 
-def brute_force_allocations(env: SchedulingEnv) -> list[tuple[int, ...]]:
+def brute_force_allocations(env: SchedulingEnv, allowed=None
+                            ) -> list[tuple[int, ...]]:
     """Independent filter of the full (m+1)^n assignment cube.
 
     Executability: an assigned job must be idle with a pending operation, the
     machine must be free and able to run that operation, and no machine may
-    be assigned twice.  Reasonability: the all-WAIT vector is excluded when
-    every machine is idle, and also when it would be the only entry.
+    be assigned twice.  `allowed(job, op_index, machine)`, when given, must
+    also hold for each assignment.  Reasonability: the all-WAIT vector is
+    excluded when every machine is idle, and also when it would be the only
+    entry.
     """
     inst = env.instance
     vectors = []
@@ -50,6 +60,9 @@ def brute_force_allocations(env: SchedulingEnv) -> list[tuple[int, ...]]:
             if env.machine_job[machine] != IDLE or machine in used:
                 ok = False
                 break
+            if allowed is not None and not allowed(job, op_index, machine):
+                ok = False
+                break
             used.add(machine)
         if ok:
             vectors.append(vec)
@@ -62,6 +75,28 @@ def brute_force_allocations(env: SchedulingEnv) -> list[tuple[int, ...]]:
     if all(r == 0 for r in env.machine_remaining) or len(vectors) == 1:
         vectors = [v for v in vectors if v != all_wait]
     return vectors
+
+
+def walk_checking_state(env: SchedulingEnv, rng: Random, allowed=None):
+    """Random walk to the end, checking the incremental state against a
+    recomputation from the raw arrays at every state, terminal one included."""
+    inst = env.instance
+    while True:
+        assert env.done == all(
+            env.job_op[j] >= len(inst.jobs[j]) for j in range(inst.job_count)
+        )
+        assert env._busy == sum(1 for r in env.machine_remaining if r > 0)
+        if env.done:
+            return
+        obs = env.observation()
+        legal = list(env.legal_allocations())
+        twin = env.clone()
+        while not twin.done:
+            twin.step(rng.randrange(len(twin.legal_allocations())))
+        assert env.observation() == obs
+        assert env.legal_allocations() == legal
+        assert legal == brute_force_allocations(env, allowed)
+        env.step(rng.randrange(len(legal)))
 
 
 class TestReset:
@@ -114,12 +149,36 @@ class TestLegalAllocations:
            st.integers(min_value=0, max_value=1_000))
     @settings(max_examples=150, deadline=None)
     def test_matches_brute_force_along_random_walks(self, seed, walk_seed):
-        env = SchedulingEnv(tiny_instance(seed))
+        walk_checking_state(SchedulingEnv(tiny_instance(seed)),
+                             Random(walk_seed))
+
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.integers(min_value=0, max_value=1_000))
+    @settings(max_examples=60, deadline=None)
+    def test_constrained_matches_filtered_brute_force(self, seed, walk_seed):
+        # The division flow: walk stage 1 (which may hold zero-operation
+        # jobs), then walk stage 2 under the policy stage 1 produced.
+        inst = tiny_instance(seed)
+        assume(max(len(job) for job in inst.jobs) >= 2)
         rng = Random(walk_seed)
-        while not env.done:
-            legal = env.legal_allocations()
-            assert legal == brute_force_allocations(env)
-            env.step(rng.randrange(len(legal)))
+        _, plan = split(inst, SplitStrategy.BY_MEAN_DURATION, 2)
+        stage1 = SchedulingEnv(combine(plan, 1))
+        walk_checking_state(stage1, rng)
+        constraint = PolicyConstraint.from_schedule(stage1.extract_schedule())
+        env = ConstrainedSchedulingEnv(combine(plan, 2), constraint)
+
+        def allowed(job, op_index, machine):
+            required = constraint.machine_for.get((job, op_index))
+            if required is None:
+                return True
+            if machine != required:
+                return False
+            placed = sum(1 for e in env.entries if e.machine == machine
+                         and (e.job, e.op) in constraint.machine_for)
+            order = constraint.machine_order[machine]
+            return placed < len(order) and order[placed] == (job, op_index)
+
+        walk_checking_state(env, rng, allowed)
 
 
 class TestStep:

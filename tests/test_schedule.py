@@ -128,6 +128,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_schedule("0 0 0 0 5\nmakespan 99\n")
 
+    @pytest.mark.parametrize("line", ["0 0 0 -10 -2", "0 0 0 -1 4",
+                                      "0 0 0 0 -3"])
+    def test_negative_times_rejected(self, line):
+        with pytest.raises(ValueError, match=r"^line 2: negative time"):
+            parse_schedule(f"0 1 0 0 5\n{line}\n")
+
     def test_json_contains_makespan(self, toy):
         sched = random_schedule(toy)
         assert f'"makespan": {sched.makespan}' in schedule_to_json(sched, "toy")
