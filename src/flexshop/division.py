@@ -30,7 +30,6 @@ class SplitStrategy(str, Enum):
 @dataclass(frozen=True)
 class SplitPlan:
     instance: Instance
-    strategy: SplitStrategy
     parts: int
     # boundaries[job] has parts+1 cut points; segment k covers
     # operations [boundaries[job][k], boundaries[job][k+1]).
@@ -101,7 +100,7 @@ def split(inst: Instance, strategy: SplitStrategy, parts: int,
                 cuts[k] = sum(1 for s in seg_of_op if s < k)
         boundaries.append(tuple(cuts))
 
-    plan = SplitPlan(inst, strategy, parts, tuple(boundaries))
+    plan = SplitPlan(inst, parts, tuple(boundaries))
     subs = []
     for k in range(parts):
         jobs = []
@@ -213,12 +212,10 @@ def solve_divided(inst: Instance, strategy: SplitStrategy, parts: int,
                   ) -> tuple[Schedule, list[TrainingReport]]:
     """Incremental solve over the split plan; returns the full-instance
     schedule and the per-stage training reports."""
-    subs, plan = split(inst, strategy, parts, duration_mode)
+    _, plan = split(inst, strategy, parts, duration_mode)
+    policy: PolicyConstraint | None = None
     reports: list[TrainingReport] = []
-    policy, schedule, report = get_best_policy(subs[0], None, cfg)
-    reports.append(report)
-    for k in range(2, parts + 1):
-        stage = combine(plan, k)
-        policy, schedule, report = get_best_policy(stage, policy, cfg)
+    for k in range(1, parts + 1):
+        policy, schedule, report = get_best_policy(combine(plan, k), policy, cfg)
         reports.append(report)
     return schedule, reports

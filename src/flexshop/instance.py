@@ -99,9 +99,6 @@ class Instance:
     def total_operations(self) -> int:
         return sum(len(job) for job in self.jobs)
 
-    def operation(self, job: int, op: int) -> OperationSpec:
-        return self.jobs[job].operations[op]
-
 
 def _ints(line: str, lineno: int) -> list[int]:
     out = []

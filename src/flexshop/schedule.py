@@ -161,7 +161,10 @@ def parse_schedule(text: str) -> Schedule:
         if parts[0] == "makespan":
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: malformed makespan trailer")
-            declared = int(parts[1])
+            try:
+                declared = int(parts[1])
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-integer makespan") from None
             continue
         if len(parts) != 5:
             raise ValueError(f"line {lineno}: expected 5 fields, got {len(parts)}")

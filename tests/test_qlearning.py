@@ -80,13 +80,13 @@ class TestUpdate:
         q = QTable()
         nxt = (0, -1, 1, 0)
         q.set(nxt, 0, -4.0)
-        update(q, OBS, 0, -2, nxt, 1, alpha=0.5, gamma=1.0)
+        update(q, OBS, 0, -2, nxt, 1, alpha=0.5)
         # target = -2 + (-4) = -6; new = 0 + 0.5 * (-6 - 0) = -3
         assert q.get(OBS, 0) == -3.0
 
     def test_terminal_bootstrap_zero(self):
         q = QTable()
-        update(q, OBS, 0, -9, (0, 0, 2, 1), 0, alpha=1.0, gamma=1.0)
+        update(q, OBS, 0, -9, (0, 0, 2, 1), 0, alpha=1.0)
         assert q.get(OBS, 0) == -9.0
 
     def test_alpha_validation(self):
@@ -130,7 +130,7 @@ class TestTrain:
 
     def test_root_q_matches_optimum_after_convergence(self):
         # On exhaustively solvable instances, max_a Q(s0, a) converges to
-        # -(optimal makespan) with gamma=1.
+        # -(optimal makespan) with discount 1.
         inst = tiny_instance(7, max_jobs=2, max_ops=2)
         opt = exhaustive_oracle(inst).makespan
         report = train(
@@ -158,6 +158,15 @@ class TestTrain:
 
 
 class TestGreedyRollout:
+    def test_matches_last_greedy_test(self, ft06):
+        # episodes is a multiple of test_interval, so the last greedy test
+        # ran on the final Q-table.
+        report = train(ft06, LearnerConfig(episodes=200, test_interval=50,
+                                           seed=4))
+        assert report.test_makespans[-1][0] == 200
+        assert (report.test_makespans[-1][1]
+                == greedy_rollout(ft06, report.q).makespan)
+
     def test_deterministic(self, toy):
         report = train(toy, LearnerConfig(episodes=300, seed=2))
         a = greedy_rollout(toy, report.q)

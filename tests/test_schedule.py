@@ -123,10 +123,17 @@ class TestSerialization:
         assert again.makespan == sched.makespan
 
     def test_trailer_mismatch_rejected(self, toy):
-        text = write_schedule(random_schedule(toy))
-        tampered = text.replace(f"makespan", "makespan 1\n#", 1)
-        with pytest.raises(ValueError):
-            parse_schedule("0 0 0 0 5\nmakespan 99\n")
+        sched = random_schedule(toy)
+        text = write_schedule(sched)
+        trailer = f"makespan {sched.makespan}"
+        assert trailer in text
+        tampered = text.replace(trailer, f"makespan {sched.makespan + 1}")
+        with pytest.raises(ValueError, match="declared makespan"):
+            parse_schedule(tampered)
+
+    def test_non_integer_makespan_rejected(self):
+        with pytest.raises(ValueError, match=r"^line 2: non-integer makespan$"):
+            parse_schedule("0 0 0 0 5\nmakespan x\n")
 
     @pytest.mark.parametrize("line", ["0 0 0 -10 -2", "0 0 0 -1 4",
                                       "0 0 0 0 -3"])
