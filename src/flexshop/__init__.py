@@ -19,7 +19,6 @@ from .instance import (
 from .environment import (
     IDLE,
     WAIT,
-    Observation,
     SchedulingEnv,
     SchedulingError,
     StepResult,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .environment import IDLE, SchedulingEnv, WAIT
-from .instance import Instance
+from .instance import Instance, OperationSpec
 from .schedule import Schedule, ScheduleEntry
 
 
@@ -101,15 +101,16 @@ def mwkr(inst: Instance, duration_mode: str = "mean") -> Schedule:
     """Most work remaining first: sum of durations of the operations still
     to run, current operation included."""
 
+    durations = {"mean": OperationSpec.mean_duration,
+                 "min": OperationSpec.min_duration,
+                 "max": OperationSpec.max_duration}
+    if duration_mode not in durations:
+        raise ValueError(f"unknown duration_mode {duration_mode!r}")
+    duration = durations[duration_mode]
+
     def remaining_work(env: SchedulingEnv, job: int):
         ops = inst.jobs[job].operations[env.job_op[job]:]
-        if duration_mode == "mean":
-            return (sum(op.mean_duration() for op in ops),)
-        if duration_mode == "min":
-            return (sum(op.min_duration() for op in ops),)
-        if duration_mode == "max":
-            return (sum(op.max_duration() for op in ops),)
-        raise ValueError(f"unknown duration_mode {duration_mode!r}")
+        return (sum(duration(op) for op in ops),)
 
     return _dispatch(inst, remaining_work)
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import click
 
 from .baselines import NodeBudgetExceeded
+from .division import SplitStrategy
 from .instance import Instance, InstanceError, load_instance, parse_instance
 from .schedule import (
     parse_schedule,
@@ -110,7 +111,8 @@ def common_solver_flags(f):
         click.option("--divide", "parts", type=int, default=None,
                      help="Sub-instance count for rl-divided."),
         click.option("--divide-strategy", "strategy",
-                     type=click.Choice(["ops", "duration"]), default=None),
+                     type=click.Choice([s.value for s in SplitStrategy]),
+                     default=None),
         click.option("--budget-seconds", "time_budget", type=float, default=None),
         click.option("--population", type=int, default=None),
         click.option("--generations", type=int, default=None),

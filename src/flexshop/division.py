@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .environment import DeadlockError, SchedulingEnv, WAIT
-from .instance import Instance, JobSpec
+from .environment import DeadlockError, SchedulingEnv
+from .instance import Instance, JobSpec, OperationSpec
 from .qlearning import LearnerConfig, TrainingReport, train
 from .schedule import Schedule
 
@@ -35,13 +35,6 @@ class SplitPlan:
     # operations [boundaries[job][k], boundaries[job][k+1]).
     boundaries: tuple[tuple[int, ...], ...]
 
-    def segment(self, job: int, part: int) -> tuple[int, int]:
-        return self.boundaries[job][part], self.boundaries[job][part + 1]
-
-
-class InfeasibleConstraintError(RuntimeError):
-    pass
-
 
 @dataclass
 class DivisionConfig(LearnerConfig):
@@ -60,56 +53,39 @@ class DivisionConfig(LearnerConfig):
             raise ValueError(f"unknown duration_mode {self.duration_mode!r}")
 
 
-def split(inst: Instance, strategy: SplitStrategy, parts: int,
-          duration_mode: str = "mean") -> tuple[list[Instance], SplitPlan]:
-    """Partition each job's operation chain into `parts` contiguous segments.
+def split(inst: Instance, cfg: DivisionConfig) -> SplitPlan:
+    """Cut each job's operation chain into `cfg.parts` contiguous segments.
 
     BY_OP_COUNT segments are as even as possible in operation count (larger
     segments first).  BY_MEAN_DURATION buckets each operation by where its
     expected start (cumulative expected duration of its predecessors) falls
-    on the job's evenly divided expected timeline.  Jobs with no operations
-    in a segment appear there as zero-operation jobs so ids stay stable.
+    on the job's evenly divided expected timeline.  Either way the first
+    segment of every job holds at least one operation; later segments may
+    be empty.
     """
+    parts = cfg.parts
     max_ops = max(len(job) for job in inst.jobs)
-    if not 2 <= parts <= max_ops:
+    if parts > max_ops:
         raise ValueError(f"parts must be in 2..{max_ops}, got {parts}")
+    expected = (OperationSpec.mean_duration if cfg.duration_mode == "mean"
+                else OperationSpec.max_duration)
 
     boundaries = []
     for job in inst.jobs:
         n_ops = len(job)
-        if strategy == SplitStrategy.BY_OP_COUNT:
+        if cfg.strategy == SplitStrategy.BY_OP_COUNT:
             cuts = [0] + [-(-k * n_ops // parts) for k in range(1, parts)] + [n_ops]
         else:
-            if duration_mode == "mean":
-                expected = [op.mean_duration() for op in job.operations]
-            elif duration_mode == "max":
-                expected = [Fraction(op.max_duration()) for op in job.operations]
-            else:
-                raise ValueError(f"unknown duration_mode {duration_mode!r}")
-            total = sum(expected, Fraction(0))
+            durations = [expected(op) for op in job.operations]
+            total = sum(durations, Fraction(0))
             seg_of_op = []
             cumulative = Fraction(0)
-            for value in expected:
-                if total == 0:
-                    seg_of_op.append(0)
-                else:
-                    seg_of_op.append(min(parts - 1, int(cumulative * parts / total)))
+            for value in durations:
+                seg_of_op.append(min(parts - 1, int(cumulative * parts / total)))
                 cumulative += value
-            cuts = [0] * (parts + 1)
-            for k in range(1, parts + 1):
-                cuts[k] = sum(1 for s in seg_of_op if s < k)
+            cuts = [sum(1 for s in seg_of_op if s < k) for k in range(parts + 1)]
         boundaries.append(tuple(cuts))
-
-    plan = SplitPlan(inst, parts, tuple(boundaries))
-    subs = []
-    for k in range(parts):
-        jobs = []
-        for j, job in enumerate(inst.jobs):
-            lo, hi = plan.segment(j, k)
-            jobs.append(JobSpec(job.operations[lo:hi]))
-        subs.append(Instance(inst.machine_count, tuple(jobs),
-                             name=f"{inst.name}.part{k + 1}"))
-    return subs, plan
+    return SplitPlan(inst, parts, tuple(boundaries))
 
 
 def combine(plan: SplitPlan, upto: int) -> Instance:
@@ -142,80 +118,72 @@ class PolicyConstraint:
         return cls(machine_for,
                    {m: tuple(ops) for m, ops in per_machine.items()})
 
-    def covered(self) -> set[tuple[int, int]]:
-        return set(self.machine_for)
-
 
 class ConstrainedSchedulingEnv(SchedulingEnv):
     """Environment whose assignments must follow a PolicyConstraint.
 
     A constrained operation may only run on its required machine, and only
-    when it is that machine's next pending constrained operation.
-    Unconstrained (new-segment) operations are unrestricted.
+    once the constrained operation just before it in that machine's order
+    has finished.  The environment only offers free machines, so a running
+    predecessor never needs a separate check.  Unconstrained (new-segment)
+    operations are unrestricted.
     """
 
     def __init__(self, instance: Instance, constraint: PolicyConstraint):
-        self.constraint = constraint
+        # (job, op) -> (required machine, the (job, op) before it or None)
+        self._rule = {}
+        for machine, order in constraint.machine_order.items():
+            for before, (job, op) in zip((None,) + order, order):
+                if not (0 <= job < instance.job_count
+                        and 0 <= op < len(instance.jobs[job])):
+                    raise ValueError(
+                        f"constraint names op ({job}, {op}) outside {instance.name}"
+                    )
+                self._rule[(job, op)] = (machine, before)
         super().__init__(instance)
-
-    def reset(self):
-        self._order_pos = {m: 0 for m in self.constraint.machine_order}
-        return super().reset()
 
     def clone(self):
         other = super().clone()
-        other.constraint = self.constraint
-        other._order_pos = dict(self._order_pos)
+        other._rule = self._rule
         return other
 
     def _assignment_allowed(self, job: int, op_index: int, machine: int) -> bool:
-        required = self.constraint.machine_for.get((job, op_index))
-        if required is None:
+        rule = self._rule.get((job, op_index))
+        if rule is None:
             return True
-        if machine != required:
-            return False
-        order = self.constraint.machine_order[machine]
-        pos = self._order_pos[machine]
-        return pos < len(order) and order[pos] == (job, op_index)
-
-    def _on_assign(self, job: int, op_index: int, machine: int):
-        if (job, op_index) in self.constraint.machine_for:
-            self._order_pos[machine] += 1
+        required, before = rule
+        return machine == required and (
+            before is None or self.job_op[before[0]] > before[1])
 
 
 def get_best_policy(inst: Instance, prev: PolicyConstraint | None,
-                    cfg: LearnerConfig
-                    ) -> tuple[PolicyConstraint, Schedule, TrainingReport]:
+                    cfg: LearnerConfig) -> TrainingReport:
     """Solve `inst` with the learner under the previous stage's constraint.
 
     Falls back to an unconstrained re-solve (logged) if the constraint ever
     leaves the environment without any possible action.
     """
     if prev is None or not prev.machine_for:
-        report = train(SchedulingEnv(inst), cfg)
-    else:
-        env = ConstrainedSchedulingEnv(inst, prev)
-        try:
-            report = train(env, cfg)
-        except DeadlockError:
-            log.warning(
-                "constraint made %s infeasible; re-solving unconstrained",
-                inst.name,
-            )
-            report = train(SchedulingEnv(inst), cfg)
-    schedule = report.best_schedule
-    return PolicyConstraint.from_schedule(schedule), schedule, report
+        return train(SchedulingEnv(inst), cfg)
+    try:
+        return train(ConstrainedSchedulingEnv(inst, prev), cfg)
+    except DeadlockError:
+        log.warning(
+            "constraint made %s infeasible; re-solving unconstrained",
+            inst.name,
+        )
+        return train(SchedulingEnv(inst), cfg)
 
 
-def solve_divided(inst: Instance, strategy: SplitStrategy, parts: int,
-                  cfg: LearnerConfig, duration_mode: str = "mean"
+def solve_divided(inst: Instance, cfg: DivisionConfig
                   ) -> tuple[Schedule, list[TrainingReport]]:
     """Incremental solve over the split plan; returns the full-instance
     schedule and the per-stage training reports."""
-    _, plan = split(inst, strategy, parts, duration_mode)
+    plan = split(inst, cfg)
     policy: PolicyConstraint | None = None
     reports: list[TrainingReport] = []
-    for k in range(1, parts + 1):
-        policy, schedule, report = get_best_policy(combine(plan, k), policy, cfg)
+    for k in range(1, cfg.parts + 1):
+        report = get_best_policy(combine(plan, k), policy, cfg)
+        policy = PolicyConstraint.from_schedule(report.best_schedule)
         reports.append(report)
-    return schedule, reports
+    return report.best_schedule, reports

@@ -33,23 +33,8 @@ class DeadlockError(SchedulingError):
 
 
 @dataclass(frozen=True)
-class Observation:
-    """Per-job machine assignment (IDLE = -1) and current operation index.
-
-    Finished jobs are marked by an operation index equal to the job's
-    operation count.  ``merged()`` is the canonical Q-table key.
-    """
-
-    allocation_status: tuple[int, ...]
-    operation_status: tuple[int, ...]
-
-    def merged(self) -> tuple[int, ...]:
-        return self.allocation_status + self.operation_status
-
-
-@dataclass(frozen=True)
 class StepResult:
-    observation: Observation
+    observation: tuple[int, ...]
     reward: int
     done: bool
     clock: int
@@ -86,7 +71,7 @@ class SchedulingEnv:
 
     # -- episode state ----------------------------------------------------
 
-    def reset(self) -> Observation:
+    def reset(self) -> tuple[int, ...]:
         inst = self.instance
         self.clock = 0
         self.job_op = [0] * inst.job_count          # current operation index
@@ -94,7 +79,7 @@ class SchedulingEnv:
         self.machine_job = [IDLE] * inst.machine_count
         self.machine_remaining = [0] * inst.machine_count
         self.entries: list[ScheduleEntry] = []
-        self._unfinished = sum(1 for ops in self._op_machines if ops[0])
+        self._unfinished = inst.job_count
         self._busy = 0
         self._options: list[list[int]] | None = None
         self._legal: list[Allocation] | None = None
@@ -123,8 +108,11 @@ class SchedulingEnv:
     def done(self) -> bool:
         return self._unfinished == 0
 
-    def observation(self) -> Observation:
-        return Observation(tuple(self.job_machine), tuple(self.job_op))
+    def observation(self) -> tuple[int, ...]:
+        """Per-job machine assignment (IDLE = -1), then per-job current
+        operation index (a finished job's equals its operation count); the
+        Q-table key."""
+        return tuple(self.job_machine) + tuple(self.job_op)
 
     # -- legal allocations ------------------------------------------------
 
@@ -230,9 +218,6 @@ class SchedulingEnv:
         if not used and self._busy == 0:
             raise SchedulingError("pure wait is not legal in an all-idle state")
 
-    def _on_assign(self, job: int, op_index: int, machine: int):
-        """Hook for subclasses tracking assignment order."""
-
     def _apply(self, allocation: Allocation) -> StepResult:
         clock_before = self.clock
         job_op = self.job_op
@@ -254,7 +239,6 @@ class SchedulingEnv:
             self.entries.append(
                 ScheduleEntry(job, op_index, machine, self.clock, self.clock + duration)
             )
-            self._on_assign(job, op_index, machine)
         self._options = self._legal = None
 
         # Skip intermediate states: advance to assignment completions until a

@@ -60,9 +60,7 @@ class OperationSpec:
 class JobSpec:
     """An ordered chain of operations; list order is the precedence order.
 
-    Jobs parsed from files always have at least one operation.  Zero-operation
-    jobs are permitted in memory so that instance division can keep job ids
-    stable across sub-instances.
+    An :class:`Instance` requires every job to hold at least one operation.
     """
 
     operations: tuple[OperationSpec, ...]
@@ -83,6 +81,8 @@ class Instance:
         if not self.jobs:
             raise InstanceError("instance has no jobs")
         for j, job in enumerate(self.jobs):
+            if not job.operations:
+                raise InstanceError(f"job {j} has no operations")
             for o, op in enumerate(job.operations):
                 for machine in op.alternatives:
                     if machine >= self.machine_count:

@@ -19,7 +19,7 @@ from .schedule import Schedule
 
 
 class QTable:
-    """Map from (merged observation, action index) to value; default 0.
+    """Map from (observation, action index) to value; default 0.
 
     All true returns are non-positive, so the default is an optimistic
     upper bound.
@@ -127,12 +127,12 @@ def _rollout(env: SchedulingEnv, q: QTable, epsilon: float, rng: Random,
     rewards: list[int] = []
     done = env.done
     while not done:
-        obs = env.observation().merged()
+        obs = env.observation()
         action = select_action(q, obs, _legal_count(env), epsilon, rng)
         result = env.step(action)
         done = result.done
         next_count = 0 if done else len(env.legal_allocations())
-        update(q, obs, action, result.reward, result.observation.merged(),
+        update(q, obs, action, result.reward, result.observation,
                next_count, alpha)
         pairs.append((obs, action))
         rewards.append(result.reward)
@@ -143,7 +143,7 @@ def _greedy(env: SchedulingEnv, q: QTable) -> int:
     """One epsilon=0 episode without updates; returns the makespan."""
     env.reset()
     while not env.done:
-        env.step(q.argmax(env.observation().merged(), _legal_count(env)))
+        env.step(q.argmax(env.observation(), _legal_count(env)))
     return env.clock
 
 

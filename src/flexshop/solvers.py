@@ -113,10 +113,7 @@ class DividedQLearningSolver(BaseSolver):
 
     def fit(self, inst: Instance) -> "DividedQLearningSolver":
         inst = self._check_instance(inst)
-        cfg = self.config
-        schedule, self.stage_reports_ = solve_divided(
-            inst, cfg.strategy, cfg.parts, cfg, cfg.duration_mode
-        )
+        schedule, self.stage_reports_ = solve_divided(inst, self.config)
         return self._finish(schedule, inst)
 
 

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from flexshop.data import load_bundled
 from flexshop.instance import Instance, JobSpec, OperationSpec
+
+# pytest's `pythonpath` setting only reaches this process; tests that run
+# `python -m flexshop.cli` in a child process need `src` on its path too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def tiny_instance(seed: int, max_jobs: int = 3, max_machines: int = 3,

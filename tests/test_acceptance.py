@@ -20,7 +20,7 @@ from flexshop.baselines import (
     mwkr,
     random_sampling,
 )
-from flexshop.division import SplitStrategy, solve_divided
+from flexshop.division import DivisionConfig, SplitStrategy, solve_divided
 from flexshop.environment import SchedulingEnv, WAIT
 from flexshop.qlearning import LearnerConfig, train
 from flexshop.schedule import (
@@ -170,7 +170,8 @@ def test_criterion_5_division():
     details = []
     ok = True
     for strat in SplitStrategy:
-        sched, reports = solve_divided(inst, strat, 2, cfg)
+        sched, reports = solve_divided(
+            inst, DivisionConfig(**vars(cfg), parts=2, strategy=strat))
         valid = validate_schedule(inst, sched) == []
         within = sched.makespan <= 1.15 * undivided
         stage1 = {(e.job, e.op): e.machine

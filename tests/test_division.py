@@ -4,38 +4,52 @@ import pytest
 
 from flexshop.division import (
     ConstrainedSchedulingEnv,
+    DivisionConfig,
     PolicyConstraint,
     SplitStrategy,
     combine,
+    get_best_policy,
     solve_divided,
     split,
 )
-from flexshop.environment import SchedulingEnv, WAIT
-from flexshop.instance import Instance, JobSpec, OperationSpec, parse_instance
+from flexshop.environment import WAIT
+from flexshop.instance import parse_instance
 from flexshop.qlearning import LearnerConfig
-from flexshop.schedule import Schedule, ScheduleEntry, validate_schedule
+from flexshop.schedule import validate_schedule
 
 from conftest import tiny_instance
 
 FAST = LearnerConfig(episodes=300, seed=0, epsilon_decay=0.99, epsilon_min=0.05)
 
 
+def divided(strategy, parts=2):
+    return DivisionConfig(**vars(FAST), parts=parts, strategy=strategy)
+
+
+# Two jobs on two machines whose required orders block each other: M0 must
+# run job 1's second op before job 0's first, and M1 job 0's second op
+# before job 1's first.
+CYCLIC = parse_instance("2 2\n2 1 1 3 1 2 3\n2 1 2 3 1 1 3\n")
+CYCLIC_ORDER = PolicyConstraint(
+    {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0},
+    {0: ((1, 1), (0, 0)), 1: ((0, 1), (1, 0))},
+)
+
+
 class TestSplit:
     def test_toy_by_op_count(self, toy):
-        subs, plan = split(toy, SplitStrategy.BY_OP_COUNT, 2)
-        # First sub-instance: J1's first op, J2's first two ops.
-        assert [len(j) for j in subs[0].jobs] == [1, 2]
-        assert [len(j) for j in subs[1].jobs] == [1, 1]
-        assert subs[0].jobs[0].operations[0] == toy.jobs[0].operations[0]
-        assert subs[0].jobs[1].operations == toy.jobs[1].operations[:2]
+        plan = split(toy, divided(SplitStrategy.BY_OP_COUNT))
+        # First segment: J1's first op, J2's first two ops.
+        assert plan.boundaries == ((0, 1, 2), (0, 2, 3))
+        first = combine(plan, 1)
+        assert first.jobs[0].operations == toy.jobs[0].operations[:1]
+        assert first.jobs[1].operations == toy.jobs[1].operations[:2]
 
     def test_toy_by_mean_duration(self, toy):
-        subs, plan = split(toy, SplitStrategy.BY_MEAN_DURATION, 2)
+        plan = split(toy, divided(SplitStrategy.BY_MEAN_DURATION))
         # Most even split by expected duration: J1 fully in part 1 (27.5),
         # J2's first two ops in part 1 (44) and the last (20) in part 2.
-        assert [len(j) for j in subs[0].jobs] == [2, 2]
-        assert [len(j) for j in subs[1].jobs] == [0, 1]
-        assert subs[1].jobs[1].operations[0] == toy.jobs[1].operations[2]
+        assert plan.boundaries == ((0, 2, 2), (0, 2, 3))
 
     def test_partition_property(self):
         for seed in range(20):
@@ -44,31 +58,36 @@ class TestSplit:
             if max_ops < 2:
                 continue
             for strategy in SplitStrategy:
-                subs, _ = split(inst, strategy, 2)
-                for j in range(inst.job_count):
-                    joined = tuple(
-                        op for sub in subs for op in sub.jobs[j].operations
-                    )
-                    assert joined == inst.jobs[j].operations
+                plan = split(inst, divided(strategy))
+                for j, job in enumerate(inst.jobs):
+                    cuts = plan.boundaries[j]
+                    assert cuts[0] == 0 and cuts[-1] == len(job)
+                    assert list(cuts) == sorted(cuts)
+                    # Every stage holds at least one op of every job.
+                    assert cuts[1] >= 1
+                    for k in (1, 2):
+                        assert combine(plan, k).jobs[j].operations == \
+                            job.operations[:cuts[k]]
 
     def test_parts_out_of_range(self, toy):
         with pytest.raises(ValueError):
-            split(toy, SplitStrategy.BY_OP_COUNT, 1)
+            split(toy, divided(SplitStrategy.BY_OP_COUNT, parts=1))
         with pytest.raises(ValueError):
-            split(toy, SplitStrategy.BY_OP_COUNT, 4)
+            split(toy, divided(SplitStrategy.BY_OP_COUNT, parts=4))
 
 
 class TestCombine:
     def test_combine_full_is_original(self, toy):
-        _, plan = split(toy, SplitStrategy.BY_MEAN_DURATION, 2)
+        plan = split(toy, divided(SplitStrategy.BY_MEAN_DURATION))
         assert combine(plan, 2) == toy
 
     def test_combine_one_is_first_sub(self, toy):
-        subs, plan = split(toy, SplitStrategy.BY_MEAN_DURATION, 2)
-        assert combine(plan, 1).jobs == subs[0].jobs
+        plan = split(toy, divided(SplitStrategy.BY_MEAN_DURATION))
+        assert [len(j) for j in combine(plan, 1).jobs] == [2, 2]
+        assert combine(plan, 1).name == "toy2x3.upto1"
 
     def test_range_check(self, toy):
-        _, plan = split(toy, SplitStrategy.BY_OP_COUNT, 2)
+        plan = split(toy, divided(SplitStrategy.BY_OP_COUNT))
         with pytest.raises(ValueError):
             combine(plan, 3)
 
@@ -98,30 +117,28 @@ class TestConstrainedEnv:
         assert (0, 1) in env.legal_allocations()
 
     def test_infeasible_constraint_has_no_actions(self):
-        # The required per-machine order starts with an operation that can
-        # never run, so the only real operation is blocked forever.
-        inst = parse_instance("1 1\n1 1 1 3\n")
-        constraint = PolicyConstraint({(0, 0): 0}, {0: ((9, 9), (0, 0))})
-        env = ConstrainedSchedulingEnv(inst, constraint)
+        env = ConstrainedSchedulingEnv(CYCLIC, CYCLIC_ORDER)
         assert env.legal_allocations() == []
 
     def test_infeasible_constraint_falls_back(self, caplog):
-        from flexshop.division import get_best_policy
-
-        inst = parse_instance("1 1\n1 1 1 3\n")
-        constraint = PolicyConstraint({(0, 0): 0}, {0: ((9, 9), (0, 0))})
         with caplog.at_level("WARNING"):
-            _, sched, _ = get_best_policy(inst, constraint, FAST)
-        assert sched.makespan == 3
+            report = get_best_policy(CYCLIC, CYCLIC_ORDER, FAST)
+        assert report.best_makespan == 6
+        assert validate_schedule(CYCLIC, report.best_schedule) == []
         assert any("infeasible" in r.message for r in caplog.records)
+
+    def test_constraint_outside_instance_rejected(self):
+        inst = parse_instance("1 1\n1 1 1 3\n")
+        constraint = PolicyConstraint({(0, 0): 0, (9, 9): 0},
+                                      {0: ((9, 9), (0, 0))})
+        with pytest.raises(ValueError, match="outside"):
+            ConstrainedSchedulingEnv(inst, constraint)
 
 
 class TestSolveDivided:
     def test_single_op_stages(self):
         inst = parse_instance("1 1\n2 1 1 5 1 1 5\n")
-        sched, reports = solve_divided(
-            inst, SplitStrategy.BY_OP_COUNT, 2, FAST
-        )
+        sched, reports = solve_divided(inst, divided(SplitStrategy.BY_OP_COUNT))
         assert sched.makespan == 10
         assert len(reports) == 2
 
@@ -130,14 +147,13 @@ class TestSolveDivided:
 
         opt = exhaustive_oracle(toy).makespan
         for strategy in SplitStrategy:
-            sched, _ = solve_divided(toy, strategy, 2, FAST)
+            sched, _ = solve_divided(toy, divided(strategy))
             assert validate_schedule(toy, sched) == []
             assert sched.makespan >= opt
 
     def test_constraint_adherence_and_monotone_coverage(self, toy):
-        subs, plan = split(toy, SplitStrategy.BY_MEAN_DURATION, 2)
         sched, reports = solve_divided(
-            toy, SplitStrategy.BY_MEAN_DURATION, 2, FAST
+            toy, divided(SplitStrategy.BY_MEAN_DURATION)
         )
         stage1 = {
             (e.job, e.op): e.machine for e in reports[0].best_schedule.entries
@@ -148,7 +164,7 @@ class TestSolveDivided:
         # Coverage grows across stages.
         c1 = PolicyConstraint.from_schedule(reports[0].best_schedule)
         c2 = PolicyConstraint.from_schedule(sched)
-        assert c1.covered() <= c2.covered()
+        assert set(c1.machine_for) <= set(c2.machine_for)
 
     def test_random_instances_validate(self):
         count = 0
@@ -157,7 +173,7 @@ class TestSolveDivided:
             if max(len(j) for j in inst.jobs) < 2:
                 continue
             for strategy in SplitStrategy:
-                sched, _ = solve_divided(inst, strategy, 2, FAST)
+                sched, _ = solve_divided(inst, divided(strategy))
                 assert validate_schedule(inst, sched) == []
             count += 1
             if count >= 8:

@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 
 from flexshop.division import (
     ConstrainedSchedulingEnv,
+    DivisionConfig,
     PolicyConstraint,
-    SplitStrategy,
     combine,
     split,
 )
 from flexshop.environment import (
     IDLE,
     WAIT,
-    Observation,
     SchedulingEnv,
     SchedulingError,
 )
@@ -102,11 +101,11 @@ def walk_checking_state(env: SchedulingEnv, rng: Random, allowed=None):
 class TestReset:
     def test_initial_observation(self, toy):
         obs = SchedulingEnv(toy).observation()
-        assert obs == Observation((IDLE, IDLE), (0, 0))
+        assert obs == (IDLE, IDLE, 0, 0)
 
     def test_one_by_one(self, one_by_one):
         obs = SchedulingEnv(one_by_one).observation()
-        assert obs.merged() == (IDLE, 0)
+        assert obs == (IDLE, 0)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
@@ -156,12 +155,12 @@ class TestLegalAllocations:
            st.integers(min_value=0, max_value=1_000))
     @settings(max_examples=60, deadline=None)
     def test_constrained_matches_filtered_brute_force(self, seed, walk_seed):
-        # The division flow: walk stage 1 (which may hold zero-operation
-        # jobs), then walk stage 2 under the policy stage 1 produced.
+        # The division flow: walk stage 1 (the first segment of every job),
+        # then walk stage 2 under the policy stage 1 produced.
         inst = tiny_instance(seed)
         assume(max(len(job) for job in inst.jobs) >= 2)
         rng = Random(walk_seed)
-        _, plan = split(inst, SplitStrategy.BY_MEAN_DURATION, 2)
+        plan = split(inst, DivisionConfig(strategy="duration"))
         stage1 = SchedulingEnv(combine(plan, 1))
         walk_checking_state(stage1, rng)
         constraint = PolicyConstraint.from_schedule(stage1.extract_schedule())

@@ -98,6 +98,10 @@ class TestModel:
         with pytest.raises(InstanceError):
             Instance(1, ())
 
+    def test_job_needs_operations(self):
+        with pytest.raises(InstanceError, match="job 1 has no operations"):
+            Instance(1, (JobSpec((OperationSpec({0: 5}),)), JobSpec(())))
+
     def test_total_operations(self):
         inst = parse_instance("2 2\n2 1 1 3 1 2 4\n1 1 1 5\n")
         assert inst.total_operations == 3

@@ -67,7 +67,7 @@ def random_traces(inst, episodes, seed):
         env.reset()
         pairs, rewards = [], []
         while not env.done:
-            obs = env.observation().merged()
+            obs = env.observation()
             action = rng.randrange(len(env.legal_allocations()))
             result = env.step(action)
             pairs.append((obs, action))

@@ -140,7 +140,7 @@ class TestTrain:
                           include_immediate_reward=True),
         )
         env = SchedulingEnv(inst)
-        root = env.observation().merged()
+        root = env.observation()
         n_actions = len(env.legal_allocations())
         assert report.best_makespan == opt
         assert report.q.max_value(root, n_actions) == -opt
