@@ -65,13 +65,16 @@ def _dispatch(inst: Instance, priority) -> Schedule:
     (descending), each to its fastest free capable machine; ties go to the
     lower job id and lower machine id.
 
-    `priority(env, job) -> sortable` where larger means assign first.
+    `priority(env, job, ready) -> sortable` where larger means assign first
+    and `ready` is the time the job's current operation became available:
+    0, or the end of its last assigned operation.
     """
     env = SchedulingEnv(inst)
+    ready = [0] * inst.job_count
     while not env.done:
         options = env._assignable()
         candidates = [j for j in range(inst.job_count) if options[j]]
-        candidates.sort(key=lambda j: (tuple(-p for p in priority(env, j)), j))
+        candidates.sort(key=lambda j: (-priority(env, j, ready[j]), j))
         allocation = [WAIT] * inst.job_count
         taken: set[int] = set()
         for j in candidates:
@@ -82,6 +85,7 @@ def _dispatch(inst: Instance, priority) -> Schedule:
             fastest = min(free, key=lambda m: (op.alternatives[m], m))
             allocation[j] = fastest
             taken.add(fastest)
+            ready[j] = env.clock + op.alternatives[fastest]
         env.step_allocation(tuple(allocation))
     return env.extract_schedule()
 
@@ -89,12 +93,7 @@ def _dispatch(inst: Instance, priority) -> Schedule:
 def fifo(inst: Instance) -> Schedule:
     """Longest-waiting job first; waiting time counts from clock 0 or from
     the end of the job's last completed operation."""
-
-    def ready_time(env: SchedulingEnv, job: int) -> int:
-        ends = [e.end for e in env.entries if e.job == job]
-        return max(ends) if ends else 0
-
-    return _dispatch(inst, lambda env, j: (env.clock - ready_time(env, j),))
+    return _dispatch(inst, lambda env, j, ready: env.clock - ready)
 
 
 def mwkr(inst: Instance, duration_mode: str = "mean") -> Schedule:
@@ -108,37 +107,53 @@ def mwkr(inst: Instance, duration_mode: str = "mean") -> Schedule:
         raise ValueError(f"unknown duration_mode {duration_mode!r}")
     duration = durations[duration_mode]
 
-    def remaining_work(env: SchedulingEnv, job: int):
-        ops = inst.jobs[job].operations[env.job_op[job]:]
-        return (sum(duration(op) for op in ops),)
+    # remaining[j][o]: work of job j from operation o on, computed once.
+    # Exact sums (Fractions for "mean") keep priorities and ties exact.
+    remaining = []
+    for job in inst.jobs:
+        suffix = [0]
+        for op in reversed(job.operations):
+            suffix.append(suffix[-1] + duration(op))
+        remaining.append(suffix[:0:-1])
 
-    return _dispatch(inst, remaining_work)
+    return _dispatch(inst, lambda env, j, ready: remaining[j][env.job_op[j]])
 
 
 # -- genetic algorithm ----------------------------------------------------
 
 
-def _decode(inst: Instance, chromosome: list[int]) -> Schedule:
+def _alternatives(inst: Instance) -> list[list[list[tuple[int, int]]]]:
+    """Per (job, op): its (machine, duration) pairs, machines ascending."""
+    return [[sorted(op.alternatives.items()) for op in job.operations]
+            for job in inst.jobs]
+
+
+def _decode(table: list[list[list[tuple[int, int]]]], machine_count: int,
+            chromosome: list[int], entries: list | None = None) -> int:
     """Operation-based decoding: genes are job ids; each occurrence schedules
-    the job's next operation on the machine with the earliest completion."""
-    next_op = [0] * inst.job_count
-    job_ready = [0] * inst.job_count
-    machine_free = [0] * inst.machine_count
-    entries = []
+    the job's next operation on the machine with the earliest completion
+    (ties: shorter duration, then lower machine id).  Returns the makespan;
+    appends each placement to `entries` when it is given."""
+    next_op = [0] * len(table)
+    job_ready = [0] * len(table)
+    machine_free = [0] * machine_count
     for j in chromosome:
-        op = inst.jobs[j].operations[next_op[j]]
-        best_m, best_start, best_end = None, 0, None
-        for m in op.machines():
-            start = max(job_ready[j], machine_free[m])
-            end = start + op.alternatives[m]
-            if best_end is None or (end, op.alternatives[m], m) < \
-                    (best_end, op.alternatives[best_m], best_m):
-                best_m, best_start, best_end = m, start, end
-        entries.append(ScheduleEntry(j, next_op[j], best_m, best_start, best_end))
-        next_op[j] += 1
+        o = next_op[j]
+        ready = job_ready[j]
+        best_m = -1
+        for m, d in table[j][o]:
+            free = machine_free[m]
+            end = (free if free > ready else ready) + d
+            # Machines ascend, so keeping the first of equal (end, d) pairs
+            # breaks the remaining tie toward the lower machine id.
+            if best_m < 0 or end < best_end or (end == best_end and d < best_d):
+                best_m, best_end, best_d = m, end, d
+        if entries is not None:
+            entries.append(ScheduleEntry(j, o, best_m, best_end - best_d, best_end))
+        next_op[j] = o + 1
         job_ready[j] = best_end
         machine_free[best_m] = best_end
-    return Schedule.from_entries(entries)
+    return max(job_ready)
 
 
 def _crossover(p1: list[int], p2: list[int], jobs: set[int],
@@ -157,6 +172,7 @@ def _mutate(chromosome: list[int], rng: Random):
 def genetic(inst: Instance, cfg: BaselineConfig) -> Schedule:
     """Minimal elitist GA over operation-based chromosomes."""
     rng = Random(cfg.seed)
+    table = _alternatives(inst)
     base = [j for j, job in enumerate(inst.jobs) for _ in range(len(job))]
     jobs = set(base)
 
@@ -166,9 +182,10 @@ def genetic(inst: Instance, cfg: BaselineConfig) -> Schedule:
         return c
 
     population = [fresh() for _ in range(cfg.population)]
-    scored = sorted(((chrom, _decode(inst, chrom)) for chrom in population),
-                    key=lambda cs: cs[1].makespan)
-    best = scored[0][1]
+    scored = sorted(((c, _decode(table, inst.machine_count, c))
+                     for c in population),
+                    key=lambda cs: cs[1])
+    best, best_makespan = scored[0]
     stale = 0
     for _ in range(cfg.generations):
         children = []
@@ -182,17 +199,20 @@ def genetic(inst: Instance, cfg: BaselineConfig) -> Schedule:
             if rng.random() < cfg.mutation_rate:
                 _mutate(child, rng)
             children.append(child)
-        pool = scored + [(c, _decode(inst, c)) for c in children]
-        pool.sort(key=lambda cs: cs[1].makespan)
+        pool = scored + [(c, _decode(table, inst.machine_count, c))
+                         for c in children]
+        pool.sort(key=lambda cs: cs[1])
         scored = pool[:cfg.population]
-        if scored[0][1].makespan < best.makespan:
-            best = scored[0][1]
+        if scored[0][1] < best_makespan:
+            best, best_makespan = scored[0]
             stale = 0
         else:
             stale += 1
             if stale >= cfg.stagnation:
                 break
-    return best
+    entries: list[ScheduleEntry] = []
+    _decode(table, inst.machine_count, best, entries)
+    return Schedule.from_entries(entries)
 
 
 # -- exhaustive oracle ----------------------------------------------------

@@ -105,18 +105,20 @@ def combine(plan: SplitPlan, upto: int) -> Instance:
 class PolicyConstraint:
     """Machine choices and per-machine relative order fixed by earlier stages."""
 
-    machine_for: dict[tuple[int, int], int]  # (job, op index) -> machine
+    # machine -> the (job, op index) pairs it must run, in order
     machine_order: dict[int, tuple[tuple[int, int], ...]]
+
+    @property
+    def machine_for(self) -> dict[tuple[int, int], int]:
+        """(job, op index) -> required machine, as `machine_order` lists it."""
+        return {op: m for m, order in self.machine_order.items() for op in order}
 
     @classmethod
     def from_schedule(cls, sched: Schedule) -> "PolicyConstraint":
-        machine_for = {}
         per_machine: dict[int, list] = {}
         for e in sorted(sched.entries, key=lambda e: (e.start, e.job, e.op)):
-            machine_for[(e.job, e.op)] = e.machine
             per_machine.setdefault(e.machine, []).append((e.job, e.op))
-        return cls(machine_for,
-                   {m: tuple(ops) for m, ops in per_machine.items()})
+        return cls({m: tuple(ops) for m, ops in per_machine.items()})
 
 
 class ConstrainedSchedulingEnv(SchedulingEnv):
@@ -163,7 +165,7 @@ def get_best_policy(inst: Instance, prev: PolicyConstraint | None,
     Falls back to an unconstrained re-solve (logged) if the constraint ever
     leaves the environment without any possible action.
     """
-    if prev is None or not prev.machine_for:
+    if prev is None or not prev.machine_order:
         return train(SchedulingEnv(inst), cfg)
     try:
         return train(ConstrainedSchedulingEnv(inst, prev), cfg)

@@ -1,20 +1,112 @@
 """Baseline solvers and the exhaustive oracle."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexshop.baselines import (
     BaselineConfig,
     NodeBudgetExceeded,
+    _alternatives,
+    _decode,
     exhaustive_oracle,
     fifo,
     genetic,
     mwkr,
     random_sampling,
 )
-from flexshop.instance import parse_instance
-from flexshop.schedule import validate_schedule
+from flexshop.environment import SchedulingEnv, WAIT
+from flexshop.instance import Instance, JobSpec, OperationSpec, parse_instance
+from flexshop.schedule import Schedule, ScheduleEntry, validate_schedule
 
 from conftest import tiny_instance
+
+
+# -- slow references for the fast paths in flexshop.baselines -------------
+
+
+def reference_decode(inst: Instance, chromosome: list[int]) -> Schedule:
+    """Operation-based decoding rebuilt from the instance at every gene."""
+    next_op = [0] * inst.job_count
+    job_ready = [0] * inst.job_count
+    machine_free = [0] * inst.machine_count
+    entries = []
+    for j in chromosome:
+        op = inst.jobs[j].operations[next_op[j]]
+        best_m, best_start, best_end = None, 0, None
+        for m in op.machines():
+            start = max(job_ready[j], machine_free[m])
+            end = start + op.alternatives[m]
+            if best_end is None or (end, op.alternatives[m], m) < \
+                    (best_end, op.alternatives[best_m], best_m):
+                best_m, best_start, best_end = m, start, end
+        entries.append(ScheduleEntry(j, next_op[j], best_m, best_start, best_end))
+        next_op[j] += 1
+        job_ready[j] = best_end
+        machine_free[best_m] = best_end
+    return Schedule.from_entries(entries)
+
+
+def reference_dispatch(inst: Instance, priority) -> Schedule:
+    """Dispatch loop whose `priority(env, job)` tuple is recomputed from the
+    environment's state for every candidate at every state."""
+    env = SchedulingEnv(inst)
+    while not env.done:
+        options = env._assignable()
+        candidates = [j for j in range(inst.job_count) if options[j]]
+        candidates.sort(key=lambda j: (tuple(-p for p in priority(env, j)), j))
+        allocation = [WAIT] * inst.job_count
+        taken: set[int] = set()
+        for j in candidates:
+            free = [m for m in options[j] if m not in taken]
+            if not free:
+                continue
+            op = inst.jobs[j].operations[env.job_op[j]]
+            fastest = min(free, key=lambda m: (op.alternatives[m], m))
+            allocation[j] = fastest
+            taken.add(fastest)
+        env.step_allocation(tuple(allocation))
+    return env.extract_schedule()
+
+
+def reference_fifo(inst: Instance) -> Schedule:
+    def ready_time(env, job):
+        ends = [e.end for e in env.entries if e.job == job]
+        return max(ends) if ends else 0
+
+    return reference_dispatch(inst, lambda env, j: (env.clock - ready_time(env, j),))
+
+
+def reference_mwkr(inst: Instance, duration_mode: str) -> Schedule:
+    duration = {"mean": OperationSpec.mean_duration,
+                "min": OperationSpec.min_duration,
+                "max": OperationSpec.max_duration}[duration_mode]
+
+    def remaining_work(env, job):
+        ops = inst.jobs[job].operations[env.job_op[job]:]
+        return (sum(duration(op) for op in ops),)
+
+    return reference_dispatch(inst, remaining_work)
+
+
+@st.composite
+def instances(draw, max_jobs=5, max_machines=4, max_ops=4, max_duration=6):
+    """Small instances; short durations make equal completion times common,
+    so tie-breaks are exercised."""
+    machines = draw(st.integers(1, max_machines))
+    alternatives = st.dictionaries(st.integers(0, machines - 1),
+                                   st.integers(1, max_duration), min_size=1)
+    jobs = draw(st.lists(
+        st.lists(alternatives.map(OperationSpec), min_size=1, max_size=max_ops),
+        min_size=1, max_size=max_jobs))
+    return Instance(machines, tuple(JobSpec(tuple(ops)) for ops in jobs))
+
+
+@st.composite
+def instances_and_chromosomes(draw):
+    inst = draw(instances())
+    genes = [j for j, job in enumerate(inst.jobs) for _ in range(len(job))]
+    return inst, draw(st.permutations(genes))
 
 
 class TestRandomSampling:
@@ -60,6 +152,13 @@ class TestDispatchRules:
         with pytest.raises(ValueError):
             mwkr(toy, "median")
 
+    @given(instances())
+    @settings(max_examples=150, deadline=None)
+    def test_rules_match_rescanning_references(self, inst):
+        assert fifo(inst) == reference_fifo(inst)
+        for mode in ("mean", "min", "max"):
+            assert mwkr(inst, mode) == reference_mwkr(inst, mode)
+
     def test_rules_validate_on_random_instances(self):
         for seed in range(20):
             inst = tiny_instance(seed)
@@ -68,6 +167,18 @@ class TestDispatchRules:
 
 
 class TestGenetic:
+    @given(instances_and_chromosomes())
+    @settings(max_examples=300, deadline=None)
+    def test_decoder_matches_reference(self, case):
+        inst, chromosome = case
+        table = _alternatives(inst)
+        reference = reference_decode(inst, chromosome)
+        entries = []
+        assert _decode(table, inst.machine_count, chromosome) == reference.makespan
+        assert _decode(table, inst.machine_count, chromosome, entries) \
+            == reference.makespan
+        assert Schedule.from_entries(entries) == reference
+
     def test_one_by_one(self, one_by_one):
         assert genetic(one_by_one, BaselineConfig(generations=2)).makespan == 5
 

@@ -31,7 +31,6 @@ def divided(strategy, parts=2):
 # before job 1's first.
 CYCLIC = parse_instance("2 2\n2 1 1 3 1 2 3\n2 1 2 3 1 1 3\n")
 CYCLIC_ORDER = PolicyConstraint(
-    {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0},
     {0: ((1, 1), (0, 0)), 1: ((0, 1), (1, 0))},
 )
 
@@ -96,22 +95,20 @@ class TestConstrainedEnv:
     def test_constraint_filters_machines(self):
         # One job, one op runnable on both machines; constrain it to M1.
         inst = parse_instance("1 2\n1 2 1 5 2 5\n")
-        constraint = PolicyConstraint({(0, 0): 1}, {1: ((0, 0),)})
+        constraint = PolicyConstraint({1: ((0, 0),)})
         env = ConstrainedSchedulingEnv(inst, constraint)
         assert env.legal_allocations() == [(1,)]
 
     def test_order_enforced_on_shared_machine(self):
         # Both jobs need M0; the constraint forces job 1 to go first.
         inst = parse_instance("2 1\n1 1 1 3\n1 1 1 4\n")
-        constraint = PolicyConstraint(
-            {(0, 0): 0, (1, 0): 0}, {0: ((1, 0), (0, 0))}
-        )
+        constraint = PolicyConstraint({0: ((1, 0), (0, 0))})
         env = ConstrainedSchedulingEnv(inst, constraint)
         assert env.legal_allocations() == [(WAIT, 0)]
 
     def test_unconstrained_ops_free(self):
         inst = parse_instance("2 2\n1 2 1 5 2 5\n1 2 1 5 2 5\n")
-        constraint = PolicyConstraint({(0, 0): 0}, {0: ((0, 0),)})
+        constraint = PolicyConstraint({0: ((0, 0),)})
         env = ConstrainedSchedulingEnv(inst, constraint)
         # Job 0 fixed to M0; job 1 may still take M1 (M0 is conflicted).
         assert (0, 1) in env.legal_allocations()
@@ -129,8 +126,7 @@ class TestConstrainedEnv:
 
     def test_constraint_outside_instance_rejected(self):
         inst = parse_instance("1 1\n1 1 1 3\n")
-        constraint = PolicyConstraint({(0, 0): 0, (9, 9): 0},
-                                      {0: ((9, 9), (0, 0))})
+        constraint = PolicyConstraint({0: ((9, 9), (0, 0))})
         with pytest.raises(ValueError, match="outside"):
             ConstrainedSchedulingEnv(inst, constraint)
 

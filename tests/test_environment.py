@@ -165,15 +165,16 @@ class TestLegalAllocations:
         walk_checking_state(stage1, rng)
         constraint = PolicyConstraint.from_schedule(stage1.extract_schedule())
         env = ConstrainedSchedulingEnv(combine(plan, 2), constraint)
+        machine_for = constraint.machine_for
 
         def allowed(job, op_index, machine):
-            required = constraint.machine_for.get((job, op_index))
+            required = machine_for.get((job, op_index))
             if required is None:
                 return True
             if machine != required:
                 return False
             placed = sum(1 for e in env.entries if e.machine == machine
-                         and (e.job, e.op) in constraint.machine_for)
+                         and (e.job, e.op) in machine_for)
             order = constraint.machine_order[machine]
             return placed < len(order) and order[placed] == (job, op_index)
 
