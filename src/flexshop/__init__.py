@@ -12,7 +12,6 @@ from .instance import (
     JobSpec,
     OperationSpec,
     load_instance,
-    mean_durations,
     parse_instance,
     write_instance,
 )

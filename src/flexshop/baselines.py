@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .environment import IDLE, SchedulingEnv, WAIT
-from .instance import Instance, OperationSpec
+from .instance import DURATION_MODES, Instance
 from .schedule import Schedule, ScheduleEntry
 
 
@@ -30,7 +30,7 @@ class BaselineConfig:
         for rate in (self.crossover_rate, self.mutation_rate):
             if not 0 <= rate <= 1:
                 raise ValueError("rates must be in [0, 1]")
-        if self.duration_mode not in ("mean", "min", "max"):
+        if self.duration_mode not in DURATION_MODES:
             raise ValueError(f"unknown duration_mode {self.duration_mode!r}")
 
 
@@ -96,26 +96,24 @@ def fifo(inst: Instance) -> Schedule:
     return _dispatch(inst, lambda env, j, ready: env.clock - ready)
 
 
-def mwkr(inst: Instance, duration_mode: str = "mean") -> Schedule:
-    """Most work remaining first: sum of durations of the operations still
-    to run, current operation included."""
-
-    durations = {"mean": OperationSpec.mean_duration,
-                 "min": OperationSpec.min_duration,
-                 "max": OperationSpec.max_duration}
-    if duration_mode not in durations:
-        raise ValueError(f"unknown duration_mode {duration_mode!r}")
-    duration = durations[duration_mode]
-
-    # remaining[j][o]: work of job j from operation o on, computed once.
-    # Exact sums (Fractions for "mean") keep priorities and ties exact.
+def _remaining_work(inst: Instance, duration) -> list[list]:
+    """remaining[j][o]: exact sum of `duration(op)` over job j's operations
+    from o on (Fractions for the mean); a finished job's entry is 0."""
     remaining = []
     for job in inst.jobs:
         suffix = [0]
         for op in reversed(job.operations):
             suffix.append(suffix[-1] + duration(op))
-        remaining.append(suffix[:0:-1])
+        remaining.append(suffix[::-1])
+    return remaining
 
+
+def mwkr(inst: Instance, duration_mode: str = "mean") -> Schedule:
+    """Most work remaining first: sum of durations of the operations still
+    to run, current operation included."""
+    if duration_mode not in DURATION_MODES:
+        raise ValueError(f"unknown duration_mode {duration_mode!r}")
+    remaining = _remaining_work(inst, DURATION_MODES[duration_mode])
     return _dispatch(inst, lambda env, j, ready: remaining[j][env.job_op[j]])
 
 
@@ -218,6 +216,19 @@ def genetic(inst: Instance, cfg: BaselineConfig) -> Schedule:
 # -- exhaustive oracle ----------------------------------------------------
 
 
+def lower_bound(env: SchedulingEnv, min_remaining: list[list[int]]) -> int:
+    """Job-chain bound: the latest over jobs of the clock, the running
+    operation's remaining time and the minimum durations still to run."""
+    bound = env.clock
+    for j, rest in enumerate(min_remaining):
+        t, o, m = env.clock, env.job_op[j], env.job_machine[j]
+        if m != IDLE:
+            t += env.machine_remaining[m]
+            o += 1
+        bound = max(bound, t + rest[o])
+    return bound
+
+
 def exhaustive_oracle(inst: Instance, cfg: BaselineConfig | None = None
                       ) -> Schedule:
     """Provably optimal schedule by depth-first search over the environment's
@@ -227,21 +238,10 @@ def exhaustive_oracle(inst: Instance, cfg: BaselineConfig | None = None
     cfg.node_budget nodes; intended for tiny instances only.
     """
     cfg = cfg or BaselineConfig()
+    min_remaining = _remaining_work(inst, DURATION_MODES["min"])
     # A dispatching-rule schedule seeds the incumbent upper bound.
     best = mwkr(inst)
     nodes = 0
-
-    def lower_bound(env: SchedulingEnv) -> int:
-        bound = env.clock
-        for j, job in enumerate(inst.jobs):
-            t, start = env.clock, env.job_op[j]
-            if env.job_machine[j] != IDLE:
-                t += env.machine_remaining[env.job_machine[j]]
-                start += 1
-            for op in job.operations[start:]:
-                t += op.min_duration()
-            bound = max(bound, t)
-        return bound
 
     def search(env: SchedulingEnv):
         nonlocal best, nodes
@@ -255,7 +255,7 @@ def exhaustive_oracle(inst: Instance, cfg: BaselineConfig | None = None
             if sched.makespan < best.makespan:
                 best = sched
             return
-        if lower_bound(env) >= best.makespan:
+        if lower_bound(env, min_remaining) >= best.makespan:
             return
         for action in range(len(env.legal_allocations())):
             child = env.clone()

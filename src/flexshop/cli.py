@@ -10,12 +10,13 @@ import csv
 import io
 import sys
 import time
+import typing
+from enum import Enum
 from pathlib import Path
 
 import click
 
 from .baselines import NodeBudgetExceeded
-from .division import SplitStrategy
 from .instance import Instance, InstanceError, load_instance, parse_instance
 from .schedule import (
     parse_schedule,
@@ -40,8 +41,7 @@ def _read_config(ctx: click.Context, param, path: str | None):
     explicit flags still win."""
     if path is None:
         return
-    options = {p.name: p for p in ctx.command.params
-               if any(p.name in cls.params for cls, _ in SOLVERS.values())}
+    options = {p.name: p for p in ctx.command.params if p.name in SOLVER_FIELDS}
     try:
         lines = Path(path).read_text().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
@@ -98,30 +98,32 @@ instance_option = click.option(
 )
 
 
+# Flags not spelled as their field; the field stays the --config key.
+RENAMED_FLAGS = {"parts": "divide", "strategy": "divide-strategy",
+                 "time_budget": "budget-seconds"}
+
+
+# Each config field a registry solver takes -> its declared type.
+SOLVER_FIELDS = {name: typing.get_type_hints(cls.config_type)[name]
+                 for cls, _ in SOLVERS.values() for name in cls.params}
+
+
 def common_solver_flags(f):
-    for deco in reversed([
-        click.option("--seed", type=int, default=None),
-        click.option("--episodes", type=int, default=None),
-        click.option("--alpha", type=float, default=None),
-        click.option("--epsilon-start", type=float, default=None),
-        click.option("--epsilon-min", type=float, default=None),
-        click.option("--epsilon-decay", type=float, default=None),
-        click.option("--prepopulate/--no-prepopulate", default=None),
-        click.option("--include-immediate-reward", is_flag=True, default=None),
-        click.option("--divide", "parts", type=int, default=None,
-                     help="Sub-instance count for rl-divided."),
-        click.option("--divide-strategy", "strategy",
-                     type=click.Choice([s.value for s in SplitStrategy]),
-                     default=None),
-        click.option("--budget-seconds", "time_budget", type=float, default=None),
-        click.option("--population", type=int, default=None),
-        click.option("--generations", type=int, default=None),
-        click.option("--node-budget", type=int, default=None),
-        click.option("--config", type=click.Path(exists=True, dir_okay=False),
+    """`--config` plus one option per solver config field; an option's
+    default None leaves the field at the solver's own default."""
+    f = click.option("--config", type=click.Path(exists=True, dir_okay=False),
                      is_eager=True, expose_value=False, callback=_read_config,
-                     help="Key-value defaults file; explicit flags win."),
-    ]):
-        f = deco(f)
+                     help="Key-value defaults file; explicit flags win.")(f)
+    for name, hint in reversed(SOLVER_FIELDS.items()):
+        flag = "--" + RENAMED_FLAGS.get(name, name.replace("_", "-"))
+        hint = (typing.get_args(hint) or (hint,))[0]  # `float | None` -> float
+        if hint is bool:
+            flag, hint = f"{flag}/--no-{flag[2:]}", None
+        elif issubclass(hint, Enum):
+            hint = click.Choice([member.value for member in hint])
+        help_text = ("Sub-instance count for rl-divided." if name == "parts"
+                     else None)
+        f = click.option(flag, name, type=hint, default=None, help=help_text)(f)
     return f
 
 

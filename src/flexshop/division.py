@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .environment import DeadlockError, SchedulingEnv
-from .instance import Instance, JobSpec, OperationSpec
+from .instance import DURATION_MODES, Instance, JobSpec
 from .qlearning import LearnerConfig, TrainingReport, train
 from .schedule import Schedule
 
@@ -42,15 +42,16 @@ class DivisionConfig(LearnerConfig):
 
     parts: int = 2
     strategy: SplitStrategy = SplitStrategy.BY_MEAN_DURATION
-    duration_mode: str = "mean"  # expected duration for BY_MEAN_DURATION
+    duration_mode: str = "mean"  # BY_MEAN_DURATION's expectation: mean | max
 
     def __post_init__(self):
         super().__post_init__()
         if self.parts < 2:
             raise ValueError(f"parts must be at least 2, got {self.parts}")
         self.strategy = SplitStrategy(self.strategy)
-        if self.duration_mode not in ("mean", "max"):
-            raise ValueError(f"unknown duration_mode {self.duration_mode!r}")
+        if self.duration_mode not in DURATION_MODES.keys() - {"min"}:
+            raise ValueError(
+                f"duration_mode must be mean or max, got {self.duration_mode!r}")
 
 
 def split(inst: Instance, cfg: DivisionConfig) -> SplitPlan:
@@ -67,8 +68,7 @@ def split(inst: Instance, cfg: DivisionConfig) -> SplitPlan:
     max_ops = max(len(job) for job in inst.jobs)
     if parts > max_ops:
         raise ValueError(f"parts must be in 2..{max_ops}, got {parts}")
-    expected = (OperationSpec.mean_duration if cfg.duration_mode == "mean"
-                else OperationSpec.max_duration)
+    expected = DURATION_MODES[cfg.duration_mode]
 
     boundaries = []
     for job in inst.jobs:

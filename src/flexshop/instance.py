@@ -56,6 +56,12 @@ class OperationSpec:
         return max(self.alternatives.values())
 
 
+# Duration mode name -> how one operation's duration is summarised.
+DURATION_MODES = {"mean": OperationSpec.mean_duration,
+                  "min": OperationSpec.min_duration,
+                  "max": OperationSpec.max_duration}
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """An ordered chain of operations; list order is the precedence order.
@@ -204,7 +210,3 @@ def write_instance(inst: Instance) -> str:
         out.append(" ".join(str(x) for x in fields))
     return "\n".join(out) + "\n"
 
-
-def mean_durations(inst: Instance) -> list[list[Fraction]]:
-    """Per-job list of per-operation mean duration over machine alternatives."""
-    return [[op.mean_duration() for op in job.operations] for job in inst.jobs]

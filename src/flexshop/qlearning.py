@@ -82,7 +82,6 @@ class LearnerConfig:
 @dataclass
 class TrainingReport:
     best_schedule: Schedule
-    best_makespan: int
     episode_makespans: list[int]
     episode_times: list[float]  # elapsed seconds at the end of each episode
     test_makespans: list[tuple[int, int]]  # (episode, greedy makespan)
@@ -173,7 +172,6 @@ def train(inst_or_env, cfg: LearnerConfig, q: QTable | None = None,
     eps = cfg.epsilon_start if epsilon is None else epsilon
 
     start = time.perf_counter()
-    best_makespan: int | None = None
     best_schedule: Schedule | None = None
     episodes_to_best = 0
     episode_makespans: list[int] = []
@@ -182,9 +180,8 @@ def train(inst_or_env, cfg: LearnerConfig, q: QTable | None = None,
     test_times: list[float] = []
 
     def record(ms: int, episode: int):
-        nonlocal best_makespan, best_schedule, episodes_to_best
-        if best_makespan is None or ms < best_makespan:
-            best_makespan = ms
+        nonlocal best_schedule, episodes_to_best
+        if best_schedule is None or ms < best_schedule.makespan:
             best_schedule = env.extract_schedule()
             episodes_to_best = episode
 
@@ -206,10 +203,9 @@ def train(inst_or_env, cfg: LearnerConfig, q: QTable | None = None,
                 and time.perf_counter() - start > cfg.time_budget):
             break
 
-    assert best_schedule is not None and best_makespan is not None
+    assert best_schedule is not None
     return TrainingReport(
         best_schedule=best_schedule,
-        best_makespan=best_makespan,
         episode_makespans=episode_makespans,
         episode_times=episode_times,
         test_makespans=test_makespans,

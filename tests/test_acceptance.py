@@ -49,7 +49,8 @@ def test_criterion_1_oracle_equivalence():
     for seed in range(50):
         inst = tiny_instance(seed)
         opt = exhaustive_oracle(inst).makespan
-        rl = train(inst, LearnerConfig(episodes=2000, seed=seed)).best_makespan
+        rl = train(inst, LearnerConfig(episodes=2000, seed=seed))
+        rl = rl.best_schedule.makespan
         others = [
             rl,
             fifo(inst).makespan,
@@ -77,13 +78,15 @@ def test_criterion_2_pinned_small_makespans():
     assert exhaustive_oracle(toy).makespan == 58
     toy_rl = train(toy, LearnerConfig(episodes=2000, seed=0,
                                       epsilon_decay=0.99, epsilon_min=0.01))
+    toy_rl = toy_rl.best_schedule.makespan
 
     flex = load_bundled("flex06")
     flex_rl = train(flex, LearnerConfig(episodes=8000, seed=1,
                                         epsilon_decay=0.99, epsilon_min=0.01))
-    ok = toy_rl.best_makespan == 58 and flex_rl.best_makespan == 47
-    report(2, ok, f"toy2x3 RL {toy_rl.best_makespan} (pin 58), "
-                  f"flex06 RL {flex_rl.best_makespan} (pin 47)")
+    flex_rl = flex_rl.best_schedule.makespan
+    ok = toy_rl == 58 and flex_rl == 47
+    report(2, ok, f"toy2x3 RL {toy_rl} (pin 58), "
+                  f"flex06 RL {flex_rl} (pin 47)")
 
 
 # -- 3: the bundled 10x5 instance ----------------------------------------
@@ -101,12 +104,13 @@ def test_criterion_3_la05():
     inst = load_bundled("la05")
     rl = train(inst, LearnerConfig(episodes=2000, seed=0, epsilon_decay=0.99,
                                    epsilon_min=0.01, time_budget=600.0))
+    rl = rl.best_schedule.makespan
     rules_ok = (validate_schedule(inst, fifo(inst)) == []
                 and validate_schedule(inst, mwkr(inst)) == [])
-    within = rl.best_makespan <= 583  # ceil of 1.02 * 572
-    golden = rl.best_makespan == 572  # pinned: reached in practice
+    within = rl <= 583  # ceil of 1.02 * 572
+    golden = rl == 572  # pinned: reached in practice
     ok = within and golden and rules_ok
-    report(3, ok, f"RL {rl.best_makespan} (<=583 {within}, golden 572 {golden}), "
+    report(3, ok, f"RL {rl} (<=583 {within}, golden 572 {golden}), "
                   f"dispatch rules valid {rules_ok}")
 
 
@@ -143,7 +147,7 @@ def test_criterion_4_prepopulation_speedup():
                       epsilon_decay=0.99, epsilon_min=0.01)
         pre = train(inst, LearnerConfig(prepopulate=True, **kwargs))
         cls = train(inst, LearnerConfig(prepopulate=False, **kwargs))
-        target = pre.best_makespan
+        target = pre.best_schedule.makespan
         pre_ep, pre_t = _first_reach(pre, target, episodes)
         cls_ep, cls_t = _first_reach(cls, target, episodes)
         ep_ratios.append(pre_ep / cls_ep)
@@ -166,7 +170,7 @@ def test_criterion_5_division():
     inst = load_bundled("flex06")
     cfg = LearnerConfig(episodes=2000, seed=0, epsilon_decay=0.99,
                         epsilon_min=0.01)
-    undivided = train(inst, cfg).best_makespan
+    undivided = train(inst, cfg).best_schedule.makespan
     details = []
     ok = True
     for strat in SplitStrategy:

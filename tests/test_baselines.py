@@ -9,13 +9,15 @@ from flexshop.baselines import (
     NodeBudgetExceeded,
     _alternatives,
     _decode,
+    _remaining_work,
     exhaustive_oracle,
     fifo,
     genetic,
+    lower_bound,
     mwkr,
     random_sampling,
 )
-from flexshop.environment import SchedulingEnv, WAIT
+from flexshop.environment import IDLE, SchedulingEnv, WAIT
 from flexshop.instance import Instance, JobSpec, OperationSpec, parse_instance
 from flexshop.schedule import Schedule, ScheduleEntry, validate_schedule
 
@@ -87,6 +89,20 @@ def reference_mwkr(inst: Instance, duration_mode: str) -> Schedule:
         return (sum(duration(op) for op in ops),)
 
     return reference_dispatch(inst, remaining_work)
+
+
+def reference_lower_bound(inst: Instance, env: SchedulingEnv) -> int:
+    """The oracle's job-chain bound, re-summed from the instance."""
+    bound = env.clock
+    for j, job in enumerate(inst.jobs):
+        t, start = env.clock, env.job_op[j]
+        if env.job_machine[j] != IDLE:
+            t += env.machine_remaining[env.job_machine[j]]
+            start += 1
+        for op in job.operations[start:]:
+            t += op.min_duration()
+        bound = max(bound, t)
+    return bound
 
 
 @st.composite
@@ -218,6 +234,20 @@ class TestOracle:
     def test_budget_exceeded(self, ft06):
         with pytest.raises(NodeBudgetExceeded):
             exhaustive_oracle(ft06, BaselineConfig(node_budget=1000))
+
+    @given(instances(max_jobs=4, max_machines=3), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_lower_bound_matches_per_node_sum(self, inst, data):
+        # Walk one random episode; compare the bounds at every state on it.
+        min_remaining = _remaining_work(inst, OperationSpec.min_duration)
+        env = SchedulingEnv(inst)
+        while True:
+            assert lower_bound(env, min_remaining) == \
+                reference_lower_bound(inst, env)
+            if env.done:
+                break
+            count = len(env.legal_allocations())
+            env.step(data.draw(st.integers(0, count - 1)))
 
     def test_no_solver_beats_oracle(self):
         for seed in range(12):

@@ -1,15 +1,18 @@
 """Command-line interface."""
 
 import re
+import typing
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from flexshop.cli import main
+from flexshop.cli import main, solve
 from flexshop.data import bundled_path
+from flexshop.division import SplitStrategy
 from flexshop.schedule import parse_schedule, validate_schedule
 from flexshop.instance import load_instance
+from flexshop.solvers import SOLVERS
 
 
 @pytest.fixture
@@ -133,6 +136,72 @@ class TestSolve:
         assert "parts" in result.output
 
 
+# Config fields whose flag is not the field name with '-' for '_'.
+RENAMED = {"parts": "--divide", "strategy": "--divide-strategy",
+           "time_budget": "--budget-seconds"}
+
+
+def solver_fields() -> dict[str, type]:
+    """Each config field of a registry solver -> its declared type."""
+    fields = {}
+    for cls, _ in SOLVERS.values():
+        hints = typing.get_type_hints(cls.config_type)
+        for name in cls.params:
+            fields.setdefault(name, hints[name])
+    return fields
+
+
+class TestSolverFlags:
+    def test_shared_field_names_share_a_type(self):
+        seen = {}
+        for cls, _ in SOLVERS.values():
+            hints = typing.get_type_hints(cls.config_type)
+            for name in cls.params:
+                assert seen.setdefault(name, hints[name]) == hints[name], name
+        for name in ("seed", "episodes", "duration_mode"):
+            owners = {cls.config_type for cls, _ in SOLVERS.values()
+                      if name in cls.params}
+            assert len(owners) >= 2, name
+
+    def test_help_lists_one_flag_per_field(self, runner):
+        result = runner.invoke(main, ["solve", "--help"])
+        assert result.exit_code == 0, result.output
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", result.output))
+        fields = solver_fields()
+        for name in fields:
+            assert RENAMED.get(name, "--" + name.replace("_", "-")) in flags
+        destinations = [p.name for p in solve.params if p.name in fields]
+        assert sorted(destinations) == sorted(fields)
+
+    def test_every_field_is_a_config_key(self, runner, toy_path, tmp_path):
+        values = {int: "3", float: "0.5", bool: "false", str: "max",
+                  float | None: "30", SplitStrategy: "ops"}
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{name} = {values[hint]}\n"
+                               for name, hint in solver_fields().items()))
+        result = runner.invoke(main, [
+            "solve", "--instance", toy_path, "--solver", "fifo",
+            "--config", str(cfg), "--out", str(tmp_path),
+        ])
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("solver, flags", [
+        ("rl", ["--test-interval", "7", "--episodes", "30"]),
+        ("mwkr", ["--duration-mode", "max"]),
+        ("ga", ["--stagnation", "3", "--crossover-rate", "0.5",
+                "--mutation-rate", "0.1"]),
+        ("rl-divided", ["--divide", "2", "--divide-strategy", "ops",
+                        "--budget-seconds", "30", "--include-immediate-reward",
+                        "--no-prepopulate", "--episodes", "30"]),
+    ])
+    def test_flags_run(self, runner, toy_path, tmp_path, solver, flags):
+        result = runner.invoke(main, [
+            "solve", "--instance", toy_path, "--solver", solver, *flags,
+            "--out", str(tmp_path),
+        ])
+        assert result.exit_code == 0, result.output
+
+
 # Each case: command line ({toy} is the toy instance, {tmp} a temporary
 # directory), files to write into {tmp} first, and stdin text (or None).
 # All are user errors: exit 2 with a one-line message.
@@ -152,6 +221,15 @@ BAD_INPUTS = {
                         {}, None),
     "epsilon-decay-above-one": ([*SOLVE, "--solver", "rl",
                                  "--epsilon-decay", "2"], {}, None),
+    "test-interval-zero": ([*SOLVE, "--solver", "rl", "--test-interval", "0"],
+                           {}, None),
+    "stagnation-zero": ([*SOLVE, "--solver", "ga", "--stagnation", "0"],
+                        {}, None),
+    "duration-mode-min-for-division": ([*SOLVE, "--solver", "rl-divided",
+                                        "--duration-mode", "min"], {}, None),
+    "config-duration-mode-unknown": ([*SOLVE, "--solver", "mwkr", *CONFIG],
+                                     {"c.cfg": "duration_mode = median\n"},
+                                     None),
     "stdin-malformed-instance": (["solve", "--instance", "-", "--out", "{tmp}",
                                   "--solver", "fifo"], {}, "1 1\n1 1 1 0\n"),
     "validate-missing-schedule": (["validate", "{toy}", "{tmp}/missing.sched"],

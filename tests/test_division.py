@@ -2,6 +2,7 @@
 
 import pytest
 
+from flexshop.baselines import BaselineConfig, mwkr
 from flexshop.division import (
     ConstrainedSchedulingEnv,
     DivisionConfig,
@@ -49,6 +50,15 @@ class TestSplit:
         # Most even split by expected duration: J1 fully in part 1 (27.5),
         # J2's first two ops in part 1 (44) and the last (20) in part 2.
         assert plan.boundaries == ((0, 2, 2), (0, 2, 3))
+
+    def test_duration_mode_is_mean_or_max(self, toy):
+        # Division splits on mean or max durations only; mwkr also takes min.
+        for mode in ("mean", "max"):
+            split(toy, DivisionConfig(duration_mode=mode))
+        with pytest.raises(ValueError):
+            DivisionConfig(duration_mode="min")
+        assert BaselineConfig(duration_mode="min").duration_mode == "min"
+        assert validate_schedule(toy, mwkr(toy, "min")) == []
 
     def test_partition_property(self):
         for seed in range(20):
@@ -120,7 +130,7 @@ class TestConstrainedEnv:
     def test_infeasible_constraint_falls_back(self, caplog):
         with caplog.at_level("WARNING"):
             report = get_best_policy(CYCLIC, CYCLIC_ORDER, FAST)
-        assert report.best_makespan == 6
+        assert report.best_schedule.makespan == 6
         assert validate_schedule(CYCLIC, report.best_schedule) == []
         assert any("infeasible" in r.message for r in caplog.records)
 

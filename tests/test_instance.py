@@ -11,7 +11,6 @@ from flexshop.instance import (
     InstanceError,
     JobSpec,
     OperationSpec,
-    mean_durations,
     parse_instance,
     write_instance,
 )
@@ -133,18 +132,17 @@ class TestWrite:
 
 class TestMeanDurations:
     def test_toy_job_means(self, toy):
-        means = mean_durations(toy)
+        means = [[op.mean_duration() for op in job.operations]
+                 for job in toy.jobs]
         assert means[0] == [Fraction(25, 2), Fraction(15)]
         assert means[1] == [Fraction(45, 2), Fraction(43, 2), Fraction(20)]
 
     def test_single_alternative(self, one_by_one):
-        assert mean_durations(one_by_one) == [[Fraction(5)]]
+        assert one_by_one.jobs[0].operations[0].mean_duration() == Fraction(5)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
-    def test_shape_matches(self, seed):
-        inst = tiny_instance(seed)
-        means = mean_durations(inst)
-        assert len(means) == inst.job_count
-        for job, row in zip(inst.jobs, means):
-            assert len(row) == len(job)
+    def test_between_min_and_max(self, seed):
+        for job in tiny_instance(seed).jobs:
+            for op in job.operations:
+                assert op.min_duration() <= op.mean_duration() <= op.max_duration()

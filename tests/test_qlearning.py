@@ -101,7 +101,7 @@ class TestUpdate:
 class TestTrain:
     def test_one_by_one(self, one_by_one):
         report = train(one_by_one, LearnerConfig(episodes=1))
-        assert report.best_makespan == 5
+        assert report.best_schedule.makespan == 5
         assert report.episodes_to_best == 1
 
     def test_determinism(self, toy):
@@ -126,7 +126,7 @@ class TestTrain:
         # Cumulative reward of every episode equals -makespan; verified
         # through the episode makespans the trainer records from env clocks.
         report = train(toy, LearnerConfig(episodes=100, seed=0))
-        assert min(report.episode_makespans) == report.best_makespan
+        assert min(report.episode_makespans) == report.best_schedule.makespan
 
     def test_root_q_matches_optimum_after_convergence(self):
         # On exhaustively solvable instances, max_a Q(s0, a) converges to
@@ -142,7 +142,7 @@ class TestTrain:
         env = SchedulingEnv(inst)
         root = env.observation()
         n_actions = len(env.legal_allocations())
-        assert report.best_makespan == opt
+        assert report.best_schedule.makespan == opt
         assert report.q.max_value(root, n_actions) == -opt
 
     def test_time_budget_stops_early(self, ft06):
@@ -154,7 +154,7 @@ class TestTrain:
         cfg = LearnerConfig(episodes=100, seed=5)
         first = train(toy, cfg)
         resumed = train(toy, cfg, q=first.q, epsilon=first.final_epsilon)
-        assert resumed.best_makespan <= first.best_makespan
+        assert resumed.best_schedule.makespan <= first.best_schedule.makespan
 
 
 class TestGreedyRollout:
