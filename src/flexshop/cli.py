@@ -76,16 +76,29 @@ def _load(path: str) -> Instance:
         raise InputError(f"cannot read instance {path}: {exc}") from None
 
 
-def _run_cell(inst: Instance, solver_name: str, overrides: dict):
-    """Fit one solver on one instance; returns (fitted solver, cpu_seconds).
-    A parameter the solver rejects is a usage error."""
+def _build(names, overrides: dict) -> dict:
+    """Every selected solver by name.  `solve` and `bench` build them, and
+    load every instance, before fitting any, so a usage error writes no
+    file."""
+    solvers = {}
+    for name in names:
+        try:
+            solvers[name] = make_solver(name, **overrides)
+        except ValueError as exc:
+            raise InputError(f"{name}: {exc}") from None
+    return solvers
+
+
+def _run_cell(inst: Instance, name: str, solver) -> float:
+    """Fit one built solver on one instance; returns its cpu_seconds.  A
+    parameter the instance rejects (`--divide` above its operation count)
+    is a usage error."""
     try:
-        solver = make_solver(solver_name, **overrides)
         cpu0 = time.process_time()
         solver.fit(inst)
     except ValueError as exc:
-        raise InputError(f"{solver_name} on {inst.name}: {exc}") from None
-    return solver, time.process_time() - cpu0
+        raise InputError(f"{name} on {inst.name}: {exc}") from None
+    return time.process_time() - cpu0
 
 
 solver_option = click.option(
@@ -141,15 +154,16 @@ def main():
 @click.option("--json", "json_out", is_flag=True, help="Also write JSON export.")
 def solve(instances, solvers, out, gantt, json_out, **overrides):
     """Run solvers on instances and write schedule files."""
+    solvers = _build(solvers, overrides)
+    instances = [_load(path) for path in instances]
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     failed = False
-    for path in instances:
-        inst = _load(path)
-        for name in solvers:
+    for inst in instances:
+        for name, solver in solvers.items():
             stem = f"{inst.name}__{name}"
             try:
-                solver, cpu = _run_cell(inst, name, overrides)
+                cpu = _run_cell(inst, name, solver)
             except NodeBudgetExceeded as exc:
                 click.echo(f"{stem}: budget exceeded: {exc}", err=True)
                 failed = True
@@ -189,15 +203,15 @@ def solve(instances, solvers, out, gantt, json_out, **overrides):
               help="Directory for table.txt / table.csv.")
 def bench(instances, solvers, out, **overrides):
     """Comparison table of makespan and CPU seconds per solver."""
-    solvers = [s for s in SOLVERS if s in solvers]
+    solvers = _build([s for s in SOLVERS if s in solvers], overrides)
+    instances = [_load(path) for path in instances]
     rows = []
-    for path in instances:
-        inst = _load(path)
+    for inst in instances:
         size = f"{inst.job_count}x{inst.machine_count}"
         cells = {}
-        for name in solvers:
+        for name, solver in solvers.items():
             try:
-                solver, cpu = _run_cell(inst, name, overrides)
+                cpu = _run_cell(inst, name, solver)
                 schedule = solver.best_schedule_
                 if validate_schedule(inst, schedule):
                     cells[name] = (None, None)

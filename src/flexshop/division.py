@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .environment import DeadlockError, SchedulingEnv
+from .environment import DeadlockError, MachineOrder, SchedulingEnv
 from .instance import DURATION_MODES, Instance, JobSpec
 from .qlearning import LearnerConfig, TrainingReport, train
 from .schedule import Schedule
@@ -101,74 +101,25 @@ def combine(plan: SplitPlan, upto: int) -> Instance:
     return Instance(plan.instance.machine_count, tuple(jobs), name=name)
 
 
-@dataclass(frozen=True)
-class PolicyConstraint:
-    """Machine choices and per-machine relative order fixed by earlier stages."""
-
-    # machine -> the (job, op index) pairs it must run, in order
-    machine_order: dict[int, tuple[tuple[int, int], ...]]
-
-    @property
-    def machine_for(self) -> dict[tuple[int, int], int]:
-        """(job, op index) -> required machine, as `machine_order` lists it."""
-        return {op: m for m, order in self.machine_order.items() for op in order}
-
-    @classmethod
-    def from_schedule(cls, sched: Schedule) -> "PolicyConstraint":
-        per_machine: dict[int, list] = {}
-        for e in sorted(sched.entries, key=lambda e: (e.start, e.job, e.op)):
-            per_machine.setdefault(e.machine, []).append((e.job, e.op))
-        return cls({m: tuple(ops) for m, ops in per_machine.items()})
+def machine_order(sched: Schedule) -> MachineOrder:
+    """Machine -> the (job, op index) pairs `sched` runs on it, in order: the
+    machine choices and per-machine order a later stage must keep."""
+    per_machine: dict[int, list] = {}
+    for e in sorted(sched.entries, key=lambda e: (e.start, e.job, e.op)):
+        per_machine.setdefault(e.machine, []).append((e.job, e.op))
+    return {m: tuple(ops) for m, ops in per_machine.items()}
 
 
-class ConstrainedSchedulingEnv(SchedulingEnv):
-    """Environment whose assignments must follow a PolicyConstraint.
-
-    A constrained operation may only run on its required machine, and only
-    once the constrained operation just before it in that machine's order
-    has finished.  The environment only offers free machines, so a running
-    predecessor never needs a separate check.  Unconstrained (new-segment)
-    operations are unrestricted.
-    """
-
-    def __init__(self, instance: Instance, constraint: PolicyConstraint):
-        # (job, op) -> (required machine, the (job, op) before it or None)
-        self._rule = {}
-        for machine, order in constraint.machine_order.items():
-            for before, (job, op) in zip((None,) + order, order):
-                if not (0 <= job < instance.job_count
-                        and 0 <= op < len(instance.jobs[job])):
-                    raise ValueError(
-                        f"constraint names op ({job}, {op}) outside {instance.name}"
-                    )
-                self._rule[(job, op)] = (machine, before)
-        super().__init__(instance)
-
-    def clone(self):
-        other = super().clone()
-        other._rule = self._rule
-        return other
-
-    def _assignment_allowed(self, job: int, op_index: int, machine: int) -> bool:
-        rule = self._rule.get((job, op_index))
-        if rule is None:
-            return True
-        required, before = rule
-        return machine == required and (
-            before is None or self.job_op[before[0]] > before[1])
-
-
-def get_best_policy(inst: Instance, prev: PolicyConstraint | None,
+def get_best_policy(inst: Instance, prev: MachineOrder | None,
                     cfg: LearnerConfig) -> TrainingReport:
-    """Solve `inst` with the learner under the previous stage's constraint.
+    """Solve `inst` with the learner under the previous stage's machine
+    order (see `SchedulingEnv`).
 
-    Falls back to an unconstrained re-solve (logged) if the constraint ever
+    Falls back to an unconstrained re-solve (logged) if the order ever
     leaves the environment without any possible action.
     """
-    if prev is None or not prev.machine_order:
-        return train(SchedulingEnv(inst), cfg)
     try:
-        return train(ConstrainedSchedulingEnv(inst, prev), cfg)
+        return train(SchedulingEnv(inst, prev), cfg)
     except DeadlockError:
         log.warning(
             "constraint made %s infeasible; re-solving unconstrained",
@@ -182,10 +133,10 @@ def solve_divided(inst: Instance, cfg: DivisionConfig
     """Incremental solve over the split plan; returns the full-instance
     schedule and the per-stage training reports."""
     plan = split(inst, cfg)
-    policy: PolicyConstraint | None = None
+    order: MachineOrder | None = None
     reports: list[TrainingReport] = []
     for k in range(1, cfg.parts + 1):
-        report = get_best_policy(combine(plan, k), policy, cfg)
-        policy = PolicyConstraint.from_schedule(report.best_schedule)
+        report = get_best_policy(combine(plan, k), order, cfg)
+        order = machine_order(report.best_schedule)
         reports.append(report)
     return report.best_schedule, reports

@@ -21,6 +21,8 @@ WAIT = -1
 IDLE = -1
 
 Allocation = tuple[int, ...]
+# Machine -> the (job, op index) pairs it must run, in order.
+MachineOrder = dict[int, tuple[tuple[int, int], ...]]
 
 
 class SchedulingError(RuntimeError):
@@ -29,7 +31,7 @@ class SchedulingError(RuntimeError):
 
 class DeadlockError(SchedulingError):
     """No machine is running and no assignment is possible (only reachable
-    when external action filters over-constrain the environment)."""
+    when a `machine_order` over-constrains the environment)."""
 
 
 @dataclass(frozen=True)
@@ -52,21 +54,41 @@ class SchedulingEnv:
     are ``None`` until first needed after each state change.
     """
 
-    def __init__(self, instance: Instance):
+    def __init__(self, instance: Instance,
+                 machine_order: MachineOrder | None = None):
+        """`machine_order` fixes each listed operation's machine and lets it
+        start only once the operation listed before it on that machine has
+        finished; unlisted operations are free.  Only free machines are ever
+        offered, so a running predecessor needs no separate check."""
         self.instance = instance
         # Per (job, op): capable machines ascending, and machine -> duration.
         # Each job's machine row ends with an empty entry for "finished".
-        self._op_machines = tuple(
-            tuple(tuple(op.machines()) for op in job.operations) + ((),)
+        op_machines = [
+            [tuple(op.machines()) for op in job.operations] + [()]
             for job in instance.jobs
-        )
+        ]
         self._op_durations = tuple(
             tuple(op.alternatives for op in job.operations)
             for job in instance.jobs
         )
-        # Only a subclass that overrides the filter hook pays for calling it.
-        self._filters = (type(self)._assignment_allowed
-                         is not SchedulingEnv._assignment_allowed)
+        # Per (job, op): the (job, op) that must finish first, or None; the
+        # whole table is None when nothing is constrained.
+        self._before = None
+        if machine_order:
+            self._before = [[None] * len(row) for row in op_machines]
+            for machine, order in machine_order.items():
+                for before, (job, op) in zip((None,) + order, order):
+                    if not (0 <= job < instance.job_count
+                            and 0 <= op < len(instance.jobs[job])):
+                        raise ValueError(f"constraint names op ({job}, {op}) "
+                                         f"outside {instance.name}")
+                    if machine not in op_machines[job][op]:
+                        raise ValueError(
+                            f"constraint puts op ({job}, {op}) on machine "
+                            f"{machine}, which cannot run it")
+                    op_machines[job][op] = (machine,)
+                    self._before[job][op] = before
+        self._op_machines = tuple(map(tuple, op_machines))
         self.reset()
 
     # -- episode state ----------------------------------------------------
@@ -90,7 +112,7 @@ class SchedulingEnv:
         other.instance = self.instance
         other._op_machines = self._op_machines
         other._op_durations = self._op_durations
-        other._filters = self._filters
+        other._before = self._before
         other.clock = self.clock
         other.job_op = list(self.job_op)
         other.job_machine = list(self.job_machine)
@@ -128,17 +150,15 @@ class SchedulingEnv:
                 for ops, op, machine
                 in zip(self._op_machines, self.job_op, self.job_machine)
             ]
-            if self._filters:
-                options = [
-                    [m for m in opts if self._assignment_allowed(job, op, m)]
-                    for job, (opts, op) in enumerate(zip(options, self.job_op))
-                ]
+            before = self._before
+            if before is not None:
+                job_op = self.job_op
+                for job, op in enumerate(job_op):
+                    pred = before[job][op]
+                    if pred is not None and job_op[pred[0]] <= pred[1]:
+                        options[job] = []
             self._options = options
         return options
-
-    def _assignment_allowed(self, job: int, op_index: int, machine: int) -> bool:
-        """Hook for subclasses that constrain assignments further."""
-        return True
 
     def legal_allocations(self) -> list[Allocation]:
         """All executable-and-reasonable allocations, in a fixed order.

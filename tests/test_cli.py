@@ -204,7 +204,7 @@ class TestSolverFlags:
 
 # Each case: command line ({toy} is the toy instance, {tmp} a temporary
 # directory), files to write into {tmp} first, and stdin text (or None).
-# All are user errors: exit 2 with a one-line message.
+# All are user errors: exit 2 with a one-line message and no file written.
 SOLVE = ["solve", "--instance", "{toy}", "--out", "{tmp}"]
 CONFIG = ["--config", "{tmp}/c.cfg"]
 BAD_INPUTS = {
@@ -227,6 +227,14 @@ BAD_INPUTS = {
                         {}, None),
     "duration-mode-min-for-division": ([*SOLVE, "--solver", "rl-divided",
                                         "--duration-mode", "min"], {}, None),
+    # Every solver is built and every instance loaded before any cell
+    # runs, so the valid cells write nothing either.
+    "solve-rejected-after-valid-solver": ([*SOLVE, "--solver", "mwkr",
+                                           "--solver", "rl-divided",
+                                           "--duration-mode", "min"], {}, None),
+    "solve-missing-second-instance": ([*SOLVE, "--instance",
+                                       "{tmp}/missing.fjs", "--solver", "fifo"],
+                                      {}, None),
     "config-duration-mode-unknown": ([*SOLVE, "--solver", "mwkr", *CONFIG],
                                      {"c.cfg": "duration_mode = median\n"},
                                      None),
@@ -259,6 +267,7 @@ def test_bad_input_is_a_one_line_usage_error(runner, toy_path, tmp_path, case):
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
     assert "Traceback" not in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
 class TestBench:

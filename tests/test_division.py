@@ -4,16 +4,15 @@ import pytest
 
 from flexshop.baselines import BaselineConfig, mwkr
 from flexshop.division import (
-    ConstrainedSchedulingEnv,
     DivisionConfig,
-    PolicyConstraint,
     SplitStrategy,
     combine,
     get_best_policy,
+    machine_order,
     solve_divided,
     split,
 )
-from flexshop.environment import WAIT
+from flexshop.environment import WAIT, SchedulingEnv
 from flexshop.instance import parse_instance
 from flexshop.qlearning import LearnerConfig
 from flexshop.schedule import validate_schedule
@@ -31,9 +30,7 @@ def divided(strategy, parts=2):
 # run job 1's second op before job 0's first, and M1 job 0's second op
 # before job 1's first.
 CYCLIC = parse_instance("2 2\n2 1 1 3 1 2 3\n2 1 2 3 1 1 3\n")
-CYCLIC_ORDER = PolicyConstraint(
-    {0: ((1, 1), (0, 0)), 1: ((0, 1), (1, 0))},
-)
+CYCLIC_ORDER = {0: ((1, 1), (0, 0)), 1: ((0, 1), (1, 0))}
 
 
 class TestSplit:
@@ -105,26 +102,23 @@ class TestConstrainedEnv:
     def test_constraint_filters_machines(self):
         # One job, one op runnable on both machines; constrain it to M1.
         inst = parse_instance("1 2\n1 2 1 5 2 5\n")
-        constraint = PolicyConstraint({1: ((0, 0),)})
-        env = ConstrainedSchedulingEnv(inst, constraint)
+        env = SchedulingEnv(inst, {1: ((0, 0),)})
         assert env.legal_allocations() == [(1,)]
 
     def test_order_enforced_on_shared_machine(self):
         # Both jobs need M0; the constraint forces job 1 to go first.
         inst = parse_instance("2 1\n1 1 1 3\n1 1 1 4\n")
-        constraint = PolicyConstraint({0: ((1, 0), (0, 0))})
-        env = ConstrainedSchedulingEnv(inst, constraint)
+        env = SchedulingEnv(inst, {0: ((1, 0), (0, 0))})
         assert env.legal_allocations() == [(WAIT, 0)]
 
     def test_unconstrained_ops_free(self):
         inst = parse_instance("2 2\n1 2 1 5 2 5\n1 2 1 5 2 5\n")
-        constraint = PolicyConstraint({0: ((0, 0),)})
-        env = ConstrainedSchedulingEnv(inst, constraint)
+        env = SchedulingEnv(inst, {0: ((0, 0),)})
         # Job 0 fixed to M0; job 1 may still take M1 (M0 is conflicted).
         assert (0, 1) in env.legal_allocations()
 
     def test_infeasible_constraint_has_no_actions(self):
-        env = ConstrainedSchedulingEnv(CYCLIC, CYCLIC_ORDER)
+        env = SchedulingEnv(CYCLIC, CYCLIC_ORDER)
         assert env.legal_allocations() == []
 
     def test_infeasible_constraint_falls_back(self, caplog):
@@ -134,11 +128,15 @@ class TestConstrainedEnv:
         assert validate_schedule(CYCLIC, report.best_schedule) == []
         assert any("infeasible" in r.message for r in caplog.records)
 
-    def test_constraint_outside_instance_rejected(self):
-        inst = parse_instance("1 1\n1 1 1 3\n")
-        constraint = PolicyConstraint({0: ((9, 9), (0, 0))})
-        with pytest.raises(ValueError, match="outside"):
-            ConstrainedSchedulingEnv(inst, constraint)
+    @pytest.mark.parametrize("order, match", [
+        ({0: ((9, 9), (0, 0))}, "outside"),
+        # The only op runs on M0 alone; M1 cannot run it.
+        ({1: ((0, 0),)}, "cannot run"),
+    ], ids=["op-outside", "machine-cannot-run"])
+    def test_constraint_outside_instance_rejected(self, order, match):
+        inst = parse_instance("1 2\n1 1 1 3\n")
+        with pytest.raises(ValueError, match=match):
+            SchedulingEnv(inst, order)
 
 
 class TestSolveDivided:
@@ -168,9 +166,10 @@ class TestSolveDivided:
         for key, machine in stage1.items():
             assert final[key] == machine
         # Coverage grows across stages.
-        c1 = PolicyConstraint.from_schedule(reports[0].best_schedule)
-        c2 = PolicyConstraint.from_schedule(sched)
-        assert set(c1.machine_for) <= set(c2.machine_for)
+        c1 = machine_order(reports[0].best_schedule)
+        c2 = machine_order(sched)
+        assert {op for ops in c1.values() for op in ops} <= \
+            {op for ops in c2.values() for op in ops}
 
     def test_random_instances_validate(self):
         count = 0

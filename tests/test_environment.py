@@ -7,13 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flexshop.division import (
-    ConstrainedSchedulingEnv,
-    DivisionConfig,
-    PolicyConstraint,
-    combine,
-    split,
-)
+from flexshop.division import DivisionConfig, combine, machine_order, split
 from flexshop.environment import (
     IDLE,
     WAIT,
@@ -163,9 +157,9 @@ class TestLegalAllocations:
         plan = split(inst, DivisionConfig(strategy="duration"))
         stage1 = SchedulingEnv(combine(plan, 1))
         walk_checking_state(stage1, rng)
-        constraint = PolicyConstraint.from_schedule(stage1.extract_schedule())
-        env = ConstrainedSchedulingEnv(combine(plan, 2), constraint)
-        machine_for = constraint.machine_for
+        constraint = machine_order(stage1.extract_schedule())
+        env = SchedulingEnv(combine(plan, 2), constraint)
+        machine_for = {op: m for m, order in constraint.items() for op in order}
 
         def allowed(job, op_index, machine):
             required = machine_for.get((job, op_index))
@@ -175,7 +169,7 @@ class TestLegalAllocations:
                 return False
             placed = sum(1 for e in env.entries if e.machine == machine
                          and (e.job, e.op) in machine_for)
-            order = constraint.machine_order[machine]
+            order = constraint[machine]
             return placed < len(order) and order[placed] == (job, op_index)
 
         walk_checking_state(env, rng, allowed)
