@@ -5,21 +5,20 @@ operation count or by expected duration.  Stage k solves the combination of
 segments 1..k while forcing every operation from earlier segments onto the
 machine the previous stage chose, preserving the per-machine relative order
 of those operations.  Timing is left free so new operations can interleave.
+Each order comes from a valid schedule of the stage before, so it is never
+cyclic and a stage is never re-solved without it.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .environment import DeadlockError, MachineOrder, SchedulingEnv
+from .environment import MachineOrder, SchedulingEnv
 from .instance import DURATION_MODES, Instance, JobSpec
 from .qlearning import LearnerConfig, TrainingReport, train
 from .schedule import Schedule
-
-log = logging.getLogger(__name__)
 
 
 class SplitStrategy(str, Enum):
@@ -113,19 +112,8 @@ def machine_order(sched: Schedule) -> MachineOrder:
 def get_best_policy(inst: Instance, prev: MachineOrder | None,
                     cfg: LearnerConfig) -> TrainingReport:
     """Solve `inst` with the learner under the previous stage's machine
-    order (see `SchedulingEnv`).
-
-    Falls back to an unconstrained re-solve (logged) if the order ever
-    leaves the environment without any possible action.
-    """
-    try:
-        return train(SchedulingEnv(inst, prev), cfg)
-    except DeadlockError:
-        log.warning(
-            "constraint made %s infeasible; re-solving unconstrained",
-            inst.name,
-        )
-        return train(SchedulingEnv(inst), cfg)
+    order (see `SchedulingEnv`)."""
+    return train(SchedulingEnv(inst, prev), cfg)
 
 
 def solve_divided(inst: Instance, cfg: DivisionConfig

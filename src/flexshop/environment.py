@@ -3,16 +3,17 @@
 The action space at each state is the list of *legal allocations*: per-job
 machine assignment vectors (``WAIT`` = -1) that are executable (capability,
 no busy job or machine reassigned, no duplicate machine) and reasonable
-(the pure-wait vector is excluded when everything is idle, and never offered
-as the only choice).  The step function skips intermediate states until a
-non-wait action is available again, so every observation the agent sees has
-a real decision to make.  Reward per step is the (non-positive) clock delta,
-which makes the cumulative episode reward exactly minus the makespan.
+(the pure-wait vector is excluded when everything is idle).  The step
+function skips intermediate states until a non-wait action is available
+again, so every observation the agent sees has a real decision to make.
+Reward per step is the (non-positive) clock delta, which makes the
+cumulative episode reward exactly minus the makespan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 
 from .instance import Instance
 from .schedule import Schedule, ScheduleEntry
@@ -27,11 +28,6 @@ MachineOrder = dict[int, tuple[tuple[int, int], ...]]
 
 class SchedulingError(RuntimeError):
     pass
-
-
-class DeadlockError(SchedulingError):
-    """No machine is running and no assignment is possible (only reachable
-    when a `machine_order` over-constrains the environment)."""
 
 
 @dataclass(frozen=True)
@@ -59,7 +55,9 @@ class SchedulingEnv:
         """`machine_order` fixes each listed operation's machine and lets it
         start only once the operation listed before it on that machine has
         finished; unlisted operations are free.  Only free machines are ever
-        offered, so a running predecessor needs no separate check."""
+        offered, so a running predecessor needs no separate check.  An order
+        that forms a cycle with the job chains is a `ValueError`, so every
+        non-terminal state has a legal action."""
         self.instance = instance
         # Per (job, op): capable machines ascending, and machine -> duration.
         # Each job's machine row ends with an empty entry for "finished".
@@ -76,6 +74,12 @@ class SchedulingEnv:
         self._before = None
         if machine_order:
             self._before = [[None] * len(row) for row in op_machines]
+            # Each op waits for its job predecessor and its listed one.
+            graph = TopologicalSorter({
+                (job, op): [(job, op - 1)]
+                for job, row in enumerate(op_machines)
+                for op in range(1, len(row) - 1)
+            })
             for machine, order in machine_order.items():
                 for before, (job, op) in zip((None,) + order, order):
                     if not (0 <= job < instance.job_count
@@ -88,6 +92,13 @@ class SchedulingEnv:
                             f"{machine}, which cannot run it")
                     op_machines[job][op] = (machine,)
                     self._before[job][op] = before
+                    if before is not None:
+                        graph.add((job, op), before)
+            try:
+                graph.prepare()
+            except CycleError as exc:
+                raise ValueError(f"machine order is cyclic on {instance.name}: "
+                                 f"{exc.args[1]}") from None
         self._op_machines = tuple(map(tuple, op_machines))
         self.reset()
 
@@ -193,8 +204,8 @@ class SchedulingEnv:
         tail = (WAIT,) * (self.instance.job_count - done_upto)
         result = [prefix + tail for prefix, _ in partials]
         # The all-WAIT vector is enumerated last.  Drop it when it is
-        # unreasonable: in the all-idle state, or when it is the only option.
-        if self._busy == 0 or len(result) == 1:
+        # unreasonable: in the all-idle state.
+        if self._busy == 0:
             result.pop()
         self._legal = result
         return result
@@ -268,10 +279,6 @@ class SchedulingEnv:
         force_advance = not assigned_any
         while not self.done and (force_advance or not any(self._assignable())):
             force_advance = False
-            if self._busy == 0:
-                raise DeadlockError(
-                    "no running machine and no possible assignment"
-                )
             dt = min(filter(None, remaining))  # idle machines hold 0
             self.clock += dt
             for m, r in enumerate(remaining):

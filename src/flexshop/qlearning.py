@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from random import Random
 
-from .environment import DeadlockError, SchedulingEnv
+from .environment import SchedulingEnv
 from .instance import Instance
 from .prepopulate import EpisodeTrace, backward_pass
 from .schedule import Schedule
@@ -109,15 +109,6 @@ def update(q: QTable, s: tuple[int, ...], a: int, r: int,
     q.set(s, a, q.get(s, a) + alpha * (target - q.get(s, a)))
 
 
-def _legal_count(env: SchedulingEnv) -> int:
-    count = len(env.legal_allocations())
-    if count == 0:
-        # Only possible when an external action filter (policy constraint)
-        # removes every assignment in a non-terminal state.
-        raise DeadlockError("no legal action available")
-    return count
-
-
 def _rollout(env: SchedulingEnv, q: QTable, epsilon: float, rng: Random,
              alpha: float) -> tuple[int, EpisodeTrace]:
     """One learning episode; returns (makespan, trace)."""
@@ -127,7 +118,7 @@ def _rollout(env: SchedulingEnv, q: QTable, epsilon: float, rng: Random,
     done = env.done
     while not done:
         obs = env.observation()
-        action = select_action(q, obs, _legal_count(env), epsilon, rng)
+        action = select_action(q, obs, len(env.legal_allocations()), epsilon, rng)
         result = env.step(action)
         done = result.done
         next_count = 0 if done else len(env.legal_allocations())
@@ -142,7 +133,7 @@ def _greedy(env: SchedulingEnv, q: QTable) -> int:
     """One epsilon=0 episode without updates; returns the makespan."""
     env.reset()
     while not env.done:
-        env.step(q.argmax(env.observation(), _legal_count(env)))
+        env.step(q.argmax(env.observation(), len(env.legal_allocations())))
     return env.clock
 
 

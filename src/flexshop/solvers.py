@@ -54,8 +54,10 @@ class BaseSolver:
         if name in type(self).params:
             return getattr(self.config, name)
         # Estimated attributes use a trailing underscore and only exist
-        # after fit(); surface a clearer error before then.
-        if name.endswith("_") and not name.endswith("__"):
+        # after fit(); surface a clearer error before then.  (`is_fitted`
+        # would re-enter this method through `hasattr`.)
+        if (name.endswith("_") and not name.endswith("__")
+                and "best_schedule_" not in vars(self)):
             raise NotFittedError(f"{type(self).__name__} is not fitted")
         raise AttributeError(name)
 

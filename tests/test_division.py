@@ -1,13 +1,16 @@
 """Instance division: splitting, combining, and constrained solving."""
 
+from random import Random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexshop.baselines import BaselineConfig, mwkr
 from flexshop.division import (
     DivisionConfig,
     SplitStrategy,
     combine,
-    get_best_policy,
     machine_order,
     solve_divided,
     split,
@@ -31,6 +34,40 @@ def divided(strategy, parts=2):
 # before job 1's first.
 CYCLIC = parse_instance("2 2\n2 1 1 3 1 2 3\n2 1 2 3 1 1 3\n")
 CYCLIC_ORDER = {0: ((1, 1), (0, 0)), 1: ((0, 1), (1, 0))}
+ONE_OP = parse_instance("1 2\n1 1 1 3\n")
+
+
+def random_order(inst, rng):
+    """Most ops listed on one of their machines, each machine's list in
+    random order; the rest unlisted."""
+    per_machine = {}
+    for j, job in enumerate(inst.jobs):
+        for o, op in enumerate(job.operations):
+            if rng.random() < 0.8:
+                machine = rng.choice(op.machines())
+                per_machine.setdefault(machine, []).append((j, o))
+    for ops in per_machine.values():
+        rng.shuffle(ops)
+    return {m: tuple(ops) for m, ops in per_machine.items()}
+
+
+def order_is_runnable(inst, order) -> bool:
+    """Forward simulation: a job advances past an op once that op's machine
+    predecessor has been passed; the order can be run iff no job gets stuck."""
+    before = {op: prev for ops in order.values()
+              for prev, op in zip((None,) + ops, ops)}
+    job_op = [0] * inst.job_count
+    progressed = True
+    while progressed:
+        progressed = False
+        for j, job in enumerate(inst.jobs):
+            while job_op[j] < len(job):
+                pred = before.get((j, job_op[j]))
+                if pred is not None and job_op[pred[0]] <= pred[1]:
+                    break
+                job_op[j] += 1
+                progressed = True
+    return all(job_op[j] == len(job) for j, job in enumerate(inst.jobs))
 
 
 class TestSplit:
@@ -117,26 +154,39 @@ class TestConstrainedEnv:
         # Job 0 fixed to M0; job 1 may still take M1 (M0 is conflicted).
         assert (0, 1) in env.legal_allocations()
 
-    def test_infeasible_constraint_has_no_actions(self):
-        env = SchedulingEnv(CYCLIC, CYCLIC_ORDER)
-        assert env.legal_allocations() == []
-
-    def test_infeasible_constraint_falls_back(self, caplog):
-        with caplog.at_level("WARNING"):
-            report = get_best_policy(CYCLIC, CYCLIC_ORDER, FAST)
-        assert report.best_schedule.makespan == 6
-        assert validate_schedule(CYCLIC, report.best_schedule) == []
-        assert any("infeasible" in r.message for r in caplog.records)
-
-    @pytest.mark.parametrize("order, match", [
-        ({0: ((9, 9), (0, 0))}, "outside"),
+    @pytest.mark.parametrize("inst, order, match", [
+        (ONE_OP, {0: ((9, 9), (0, 0))}, "outside"),
         # The only op runs on M0 alone; M1 cannot run it.
-        ({1: ((0, 0),)}, "cannot run"),
-    ], ids=["op-outside", "machine-cannot-run"])
-    def test_constraint_outside_instance_rejected(self, order, match):
-        inst = parse_instance("1 2\n1 1 1 3\n")
+        (ONE_OP, {1: ((0, 0),)}, "cannot run"),
+        (CYCLIC, CYCLIC_ORDER, r"cyclic on .*\(0, 0\)"),
+        # An op listed twice must wait for itself.
+        (ONE_OP, {0: ((0, 0), (0, 0))}, "cyclic"),
+    ], ids=["op-outside", "machine-cannot-run", "cyclic", "listed-twice"])
+    def test_constraint_outside_instance_rejected(self, inst, order, match):
         with pytest.raises(ValueError, match=match):
             SchedulingEnv(inst, order)
+
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.integers(min_value=0, max_value=1_000))
+    @settings(max_examples=200, deadline=None)
+    def test_rejected_exactly_when_order_cannot_run(self, seed, order_seed):
+        inst = tiny_instance(seed, max_jobs=4)
+        rng = Random(order_seed)
+        order = random_order(inst, rng)
+        if not order_is_runnable(inst, order):
+            with pytest.raises(ValueError, match="cyclic"):
+                SchedulingEnv(inst, order)
+            return
+        env = SchedulingEnv(inst, order)
+        while not env.done:
+            legal = env.legal_allocations()
+            assert legal
+            env.step(rng.randrange(len(legal)))
+        sched = env.extract_schedule()
+        assert validate_schedule(inst, sched) == []
+        ran = machine_order(sched)
+        for machine, ops in order.items():
+            assert [op for op in ran[machine] if op in ops] == list(ops)
 
 
 class TestSolveDivided:

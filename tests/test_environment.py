@@ -28,8 +28,7 @@ def brute_force_allocations(env: SchedulingEnv, allowed=None
     machine must be free and able to run that operation, and no machine may
     be assigned twice.  `allowed(job, op_index, machine)`, when given, must
     also hold for each assignment.  Reasonability: the all-WAIT vector is
-    excluded when every machine is idle, and also when it would be the only
-    entry.
+    excluded when every machine is idle.
     """
     inst = env.instance
     vectors = []
@@ -65,7 +64,7 @@ def brute_force_allocations(env: SchedulingEnv, allowed=None
         )
     )
     all_wait = (WAIT,) * inst.job_count
-    if all(r == 0 for r in env.machine_remaining) or len(vectors) == 1:
+    if all(r == 0 for r in env.machine_remaining):
         vectors = [v for v in vectors if v != all_wait]
     return vectors
 

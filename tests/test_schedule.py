@@ -1,5 +1,6 @@
 """Schedule model, validator, serialization, and Gantt rendering."""
 
+import xml.etree.ElementTree as ET
 from random import Random
 
 import pytest
@@ -163,3 +164,8 @@ class TestGantt:
     def test_deterministic(self, toy):
         sched = random_schedule(toy)
         assert render_gantt(sched, 3) == render_gantt(sched, 3)
+
+    def test_title_is_escaped(self, toy):
+        svg = render_gantt(random_schedule(toy), 3, title="a&b<1>")
+        title = ET.fromstring(svg).find("{http://www.w3.org/2000/svg}text")
+        assert title.text.startswith("a&b<1> makespan=")

@@ -33,6 +33,12 @@ class TestEstimatorApi:
             solver.predict(toy)
         with pytest.raises(NotFittedError):
             _ = solver.best_schedule_
+        # Once fitted, an estimated attribute the solver never sets is a
+        # plain AttributeError: fifo keeps no training report.
+        fifo = make_solver("fifo").fit(toy)
+        with pytest.raises(AttributeError) as exc:
+            _ = fifo.report_
+        assert not isinstance(exc.value, NotFittedError)
 
     def test_fit_predict(self, toy):
         solver = QLearningSolver(episodes=300, seed=0, epsilon_decay=0.99)
