@@ -12,8 +12,9 @@ cumulative episode reward exactly minus the makespan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from graphlib import CycleError, TopologicalSorter
+from typing import NamedTuple
 
 from .instance import Instance
 from .schedule import Schedule, ScheduleEntry
@@ -23,15 +24,14 @@ IDLE = -1
 
 Allocation = tuple[int, ...]
 # Machine -> the (job, op index) pairs it must run, in order.
-MachineOrder = dict[int, tuple[tuple[int, int], ...]]
+MachineOrder = dict[int, Sequence[Sequence[int]]]
 
 
 class SchedulingError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     observation: tuple[int, ...]
     reward: int
     done: bool
@@ -41,13 +41,20 @@ class StepResult:
 class SchedulingEnv:
     """Mutable single-episode environment over an immutable instance.
 
-    Besides the public per-job and per-machine arrays, the state keeps two
-    counters and one cache so that no query rescans the whole state:
-    ``_unfinished`` (jobs with operations left, so ``done`` is a test for 0),
-    ``_busy`` (machines with ``machine_remaining > 0``) and ``_options``, the
-    per-job assignable machines at the current state, which the skip loop
-    and the next ``legal_allocations`` share.  ``_options`` and ``_legal``
-    are ``None`` until first needed after each state change.
+    Construction builds per-(job, op) tables: the capable machines
+    ascending, their bitmask and machine -> duration.  Besides the public
+    per-job and per-machine arrays, the state keeps one counter, one mask
+    and two caches so that no query rescans the whole state:
+    ``_unfinished`` (jobs with operations left, so ``done`` is a test for
+    0), ``_free`` (bit m set while machine m is idle, so an idle job can
+    start iff its current operation's mask meets it), ``_options`` (the
+    per-job assignable machines) and ``_legal`` (the legal allocations).
+    The skip loop asks the masks whether any job can start, so option
+    lists are built once per state the agent sees.  Both caches are
+    ``None`` until first needed after each state change, except that
+    ``reset`` restores ``_legal`` from ``_root_legal``, the reset state's
+    list, kept once enumerated.  Assignments are logged as plain tuples
+    in ``_log``; ``entries`` builds the `ScheduleEntry` objects on demand.
     """
 
     def __init__(self, instance: Instance,
@@ -81,6 +88,7 @@ class SchedulingEnv:
                 for op in range(1, len(row) - 1)
             })
             for machine, order in machine_order.items():
+                order = tuple((job, op) for job, op in order)
                 for before, (job, op) in zip((None,) + order, order):
                     if not (0 <= job < instance.job_count
                             and 0 <= op < len(instance.jobs[job])):
@@ -100,6 +108,13 @@ class SchedulingEnv:
                 raise ValueError(f"machine order is cyclic on {instance.name}: "
                                  f"{exc.args[1]}") from None
         self._op_machines = tuple(map(tuple, op_machines))
+        self._op_masks = tuple(
+            tuple(sum(1 << m for m in ms) for ms in row) for row in op_machines
+        )
+        self._all_free = (1 << instance.machine_count) - 1
+        # Every episode starts in the same state, so its legal allocations
+        # are enumerated once and kept; reset() reuses them.
+        self._root_legal: list[Allocation] | None = None
         self.reset()
 
     # -- episode state ----------------------------------------------------
@@ -111,30 +126,24 @@ class SchedulingEnv:
         self.job_machine = [IDLE] * inst.job_count  # assigned machine or IDLE
         self.machine_job = [IDLE] * inst.machine_count
         self.machine_remaining = [0] * inst.machine_count
-        self.entries: list[ScheduleEntry] = []
+        # (job, op, machine, start, end) per assignment, in order.
+        self._log: list[tuple[int, int, int, int, int]] = []
         self._unfinished = inst.job_count
-        self._busy = 0
+        self._free = self._all_free
         self._options: list[list[int]] | None = None
-        self._legal: list[Allocation] | None = None
+        self._legal = self._root_legal
         return self.observation()
 
     def clone(self) -> "SchedulingEnv":
         other = self.__class__.__new__(self.__class__)
-        other.instance = self.instance
-        other._op_machines = self._op_machines
-        other._op_durations = self._op_durations
-        other._before = self._before
-        other.clock = self.clock
+        # Tables, scalars and both caches are shared: the caches are
+        # replaced, never mutated.  The mutable arrays are copied.
+        other.__dict__.update(self.__dict__)
         other.job_op = list(self.job_op)
         other.job_machine = list(self.job_machine)
         other.machine_job = list(self.machine_job)
         other.machine_remaining = list(self.machine_remaining)
-        other.entries = list(self.entries)
-        other._unfinished = self._unfinished
-        other._busy = self._busy
-        # Both caches are replaced, never mutated, so sharing them is safe.
-        other._options = self._options
-        other._legal = self._legal
+        other._log = list(self._log)
         return other
 
     @property
@@ -145,7 +154,7 @@ class SchedulingEnv:
         """Per-job machine assignment (IDLE = -1), then per-job current
         operation index (a finished job's equals its operation count); the
         Q-table key."""
-        return tuple(self.job_machine) + tuple(self.job_op)
+        return tuple(self.job_machine + self.job_op)
 
     # -- legal allocations ------------------------------------------------
 
@@ -154,12 +163,13 @@ class SchedulingEnv:
         ascending id; empty for busy and finished jobs.  Cached per state."""
         options = self._options
         if options is None:
-            machine_job = self.machine_job
+            free = self._free
             options = [
-                [m for m in ops[op] if machine_job[m] == IDLE]
-                if machine == IDLE else []
-                for ops, op, machine
-                in zip(self._op_machines, self.job_op, self.job_machine)
+                [m for m in ops[op] if free >> m & 1]
+                if machine == IDLE and masks[op] & free else []
+                for ops, masks, op, machine in zip(
+                    self._op_machines, self._op_masks, self.job_op,
+                    self.job_machine)
             ]
             before = self._before
             if before is not None:
@@ -171,16 +181,33 @@ class SchedulingEnv:
             self._options = options
         return options
 
+    def _can_start(self) -> bool:
+        """Whether `_assignable` has a non-empty entry, from the masks alone."""
+        free = self._free
+        if free:
+            job_op = self.job_op
+            before = self._before
+            for job, machine in enumerate(self.job_machine):
+                if machine == IDLE:
+                    op = job_op[job]
+                    if self._op_masks[job][op] & free:
+                        if before is None:
+                            return True
+                        pred = before[job][op]
+                        if pred is None or job_op[pred[0]] > pred[1]:
+                            return True
+        return False
+
     def legal_allocations(self) -> list[Allocation]:
         """All executable-and-reasonable allocations, in a fixed order.
 
         Order is lexicographic over job index with machine alternatives
         ascending and WAIT last per job, so action indices are stable.
         """
+        if self._legal is not None:  # never set in the terminal state
+            return self._legal
         if self.done:
             raise SchedulingError("legal_allocations on terminal state")
-        if self._legal is not None:
-            return self._legal
 
         # Extend prefixes one job with options at a time; every other job is
         # WAIT in every vector.  Each prefix's extensions are appended in the
@@ -205,9 +232,11 @@ class SchedulingEnv:
         result = [prefix + tail for prefix, _ in partials]
         # The all-WAIT vector is enumerated last.  Drop it when it is
         # unreasonable: in the all-idle state.
-        if self._busy == 0:
+        if self._free == self._all_free:
             result.pop()
         self._legal = result
+        if not self._log:  # nothing assigned yet: the reset state
+            self._root_legal = result
         return result
 
     # -- stepping ---------------------------------------------------------
@@ -246,59 +275,64 @@ class SchedulingEnv:
                 raise SchedulingError(
                     f"job {job} cannot be assigned machine {machine} now"
                 )
-        if not used and self._busy == 0:
+        if not used and self._free == self._all_free:
             raise SchedulingError("pure wait is not legal in an all-idle state")
 
     def _apply(self, allocation: Allocation) -> StepResult:
-        clock_before = self.clock
+        clock = clock_before = self.clock
         job_op = self.job_op
         job_machine = self.job_machine
         machine_job = self.machine_job
         remaining = self.machine_remaining
+        durations = self._op_durations
+        log = self._log
+        free = self._free
 
-        assigned_any = False
         for job, machine in enumerate(allocation):
-            if machine == WAIT:
-                continue
-            assigned_any = True
-            op_index = job_op[job]
-            duration = self._op_durations[job][op_index][machine]
-            job_machine[job] = machine
-            machine_job[machine] = job
-            remaining[machine] = duration
-            self._busy += 1
-            self.entries.append(
-                ScheduleEntry(job, op_index, machine, self.clock, self.clock + duration)
-            )
+            if machine != WAIT:
+                op = job_op[job]
+                duration = durations[job][op][machine]
+                job_machine[job] = machine
+                machine_job[machine] = job
+                remaining[machine] = duration
+                free &= ~(1 << machine)
+                log.append((job, op, machine, clock, clock + duration))
+        force_advance = free == self._free  # a pure wait
+        self._free = free
         self._options = self._legal = None
 
         # Skip intermediate states: advance to assignment completions until a
         # non-wait action exists or the episode ends.  A pure-wait action
         # explicitly holds until the next completion, so it always advances
         # at least once even if non-wait actions were already available.
-        force_advance = not assigned_any
-        while not self.done and (force_advance or not any(self._assignable())):
+        while self._unfinished and (force_advance or not self._can_start()):
             force_advance = False
             dt = min(filter(None, remaining))  # idle machines hold 0
-            self.clock += dt
+            clock += dt
             for m, r in enumerate(remaining):
-                if r > 0:
+                if r:
                     r -= dt
                     remaining[m] = r
-                    if r == 0:
+                    if not r:
                         job = machine_job[m]
                         machine_job[m] = IDLE
                         job_machine[job] = IDLE
                         job_op[job] += 1
-                        self._busy -= 1
-                        if not self._op_machines[job][job_op[job]]:
+                        free |= 1 << m
+                        if not self._op_masks[job][job_op[job]]:
                             self._unfinished -= 1
-            self._options = self._legal = None
+            self._free = free
 
-        return StepResult(self.observation(), clock_before - self.clock,
-                          self.done, self.clock)
+        self.clock = clock
+        return StepResult(self.observation(), clock_before - clock,
+                          self.done, clock)
 
     # -- results ----------------------------------------------------------
+
+    @property
+    def entries(self) -> list[ScheduleEntry]:
+        """The assignments made so far, in the order they were made."""
+        return [ScheduleEntry(*row) for row in self._log]
 
     def extract_schedule(self) -> Schedule:
         if not self.done:

@@ -9,7 +9,9 @@ that tracks the best schedule found.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
+from math import copysign
 from random import Random
 
 from .environment import SchedulingEnv
@@ -22,37 +24,74 @@ class QTable:
     """Map from (observation, action index) to value; default 0.
 
     All true returns are non-positive, so the default is an optimistic
-    upper bound.
+    upper bound.  Each observation has one row, an ``array('d')`` of values
+    by action index, grown on `set` to the highest index stored.  A slot
+    never set holds ``+0.0`` and a stored 0 is kept as ``-0.0``: both read
+    as 0 to `get`, `max` and `index`, but `has` tells them apart.
     """
 
     def __init__(self):
-        self._table: dict[tuple[tuple[int, ...], int], float] = {}
+        self._rows: dict[tuple[int, ...], array] = {}
+        self._stored = 0
 
     def __len__(self) -> int:
-        return len(self._table)
+        """Number of stored (observation, action) pairs."""
+        return self._stored
 
     def has(self, obs: tuple[int, ...], action: int) -> bool:
-        return (obs, action) in self._table
+        row = self._rows.get(obs)
+        return row is not None and action < len(row) and _is_set(row[action])
 
     def get(self, obs: tuple[int, ...], action: int) -> float:
-        return self._table.get((obs, action), 0.0)
+        row = self._rows.get(obs)
+        # Adding +0.0 reads a stored -0.0 as 0.0.
+        return row[action] + 0.0 if row is not None and action < len(row) else 0.0
 
     def set(self, obs: tuple[int, ...], action: int, value: float):
-        self._table[(obs, action)] = value
+        row = self._rows.get(obs)
+        if row is None:
+            row = self._rows[obs] = array("d", bytes(8 * (action + 1)))
+        elif action >= len(row):
+            row.frombytes(bytes(8 * (action + 1 - len(row))))
+        if not _is_set(row[action]):
+            self._stored += 1
+        row[action] = value or -0.0
+
+    def items(self):
+        """((observation, action), value) of every stored pair, rows in
+        insertion order and actions ascending."""
+        for obs, row in self._rows.items():
+            for action, value in enumerate(row):
+                if _is_set(value):
+                    yield (obs, action), value + 0.0
 
     def max_value(self, obs: tuple[int, ...], action_count: int) -> float:
         """Max over the first `action_count` actions; 0 when none stored."""
-        if action_count == 0:
+        row = self._rows.get(obs)
+        if row is None or action_count == 0:
             return 0.0
-        return max(self.get(obs, a) for a in range(action_count))
+        if action_count < len(row):
+            row = row[:action_count]
+        best = max(row)
+        # Slots past the row read 0.
+        return best if action_count == len(row) else max(best, 0.0)
 
     def argmax(self, obs: tuple[int, ...], action_count: int) -> int:
-        best, best_value = 0, self.get(obs, 0)
-        for a in range(1, action_count):
-            value = self.get(obs, a)
-            if value > best_value:
-                best, best_value = a, value
-        return best
+        """Lowest index of the max over the first `action_count` actions."""
+        row = self._rows.get(obs)
+        if row is None or action_count <= 1:
+            return 0
+        if action_count < len(row):
+            row = row[:action_count]
+        best = max(row)
+        if best < 0 and action_count > len(row):
+            return len(row)  # the first slot past the row reads 0
+        return row.index(best)
+
+
+def _is_set(value: float) -> bool:
+    """Whether a row slot holds a stored value: anything but ``+0.0``."""
+    return value != 0.0 or copysign(1.0, value) < 0
 
 
 @dataclass
@@ -106,34 +145,35 @@ def update(q: QTable, s: tuple[int, ...], a: int, r: int,
            s_next: tuple[int, ...], next_legal_count: int, alpha: float):
     """One-step temporal-difference update; terminal bootstrap is 0."""
     target = r + q.max_value(s_next, next_legal_count)
-    q.set(s, a, q.get(s, a) + alpha * (target - q.get(s, a)))
+    value = q.get(s, a)
+    q.set(s, a, value + alpha * (target - value))
 
 
 def _rollout(env: SchedulingEnv, q: QTable, epsilon: float, rng: Random,
              alpha: float) -> tuple[int, EpisodeTrace]:
     """One learning episode; returns (makespan, trace)."""
-    env.reset()
+    obs = env.reset()
+    count = len(env.legal_allocations())
     pairs: list[tuple[tuple[int, ...], int]] = []
     rewards: list[int] = []
-    done = env.done
+    done = False
     while not done:
-        obs = env.observation()
-        action = select_action(q, obs, len(env.legal_allocations()), epsilon, rng)
+        action = select_action(q, obs, count, epsilon, rng)
         result = env.step(action)
         done = result.done
-        next_count = 0 if done else len(env.legal_allocations())
-        update(q, obs, action, result.reward, result.observation,
-               next_count, alpha)
+        count = 0 if done else len(env.legal_allocations())
+        update(q, obs, action, result.reward, result.observation, count, alpha)
         pairs.append((obs, action))
         rewards.append(result.reward)
+        obs = result.observation
     return env.clock, EpisodeTrace(pairs, rewards)
 
 
 def _greedy(env: SchedulingEnv, q: QTable) -> int:
     """One epsilon=0 episode without updates; returns the makespan."""
-    env.reset()
+    obs = env.reset()
     while not env.done:
-        env.step(q.argmax(env.observation(), len(env.legal_allocations())))
+        obs = env.step(q.argmax(obs, len(env.legal_allocations()))).observation
     return env.clock
 
 

@@ -166,6 +166,19 @@ class TestConstrainedEnv:
         with pytest.raises(ValueError, match=match):
             SchedulingEnv(inst, order)
 
+    @pytest.mark.parametrize("as_sequence", [
+        list, lambda ops: [list(op) for op in ops],
+    ], ids=["list-of-tuples", "list-of-lists"])
+    def test_list_valued_order_builds_same_tables(self, as_sequence):
+        # A JSON-loaded order holds lists, not tuples.
+        inst = parse_instance("2 2\n2 2 1 3 2 3 1 2 2\n1 1 1 4\n")
+        order = {0: ((0, 0), (1, 0)), 1: ((0, 1),)}
+        a = SchedulingEnv(inst, order)
+        b = SchedulingEnv(inst, {m: as_sequence(ops) for m, ops in order.items()})
+        for table in ("_op_machines", "_op_masks", "_before"):
+            assert getattr(b, table) == getattr(a, table)
+        assert b.legal_allocations() == a.legal_allocations() == [(0, WAIT)]
+
     @given(st.integers(min_value=0, max_value=10_000),
            st.integers(min_value=0, max_value=1_000))
     @settings(max_examples=200, deadline=None)

@@ -77,15 +77,21 @@ def walk_checking_state(env: SchedulingEnv, rng: Random, allowed=None):
         assert env.done == all(
             env.job_op[j] >= len(inst.jobs[j]) for j in range(inst.job_count)
         )
-        assert env._busy == sum(1 for r in env.machine_remaining if r > 0)
+        assert env._free == sum(1 << m for m, job in enumerate(env.machine_job)
+                                if job == IDLE)
+        assert all((job == IDLE) == (r == 0) for job, r
+                   in zip(env.machine_job, env.machine_remaining))
         if env.done:
             return
+        assert env._can_start() == any(env._assignable())
         obs = env.observation()
+        entries = env.entries
         legal = list(env.legal_allocations())
         twin = env.clone()
         while not twin.done:
             twin.step(rng.randrange(len(twin.legal_allocations())))
         assert env.observation() == obs
+        assert env.entries == entries
         assert env.legal_allocations() == legal
         assert legal == brute_force_allocations(env, allowed)
         env.step(rng.randrange(len(legal)))
@@ -99,6 +105,16 @@ class TestReset:
     def test_one_by_one(self, one_by_one):
         obs = SchedulingEnv(one_by_one).observation()
         assert obs == (IDLE, 0)
+
+    def test_reset_reuses_the_reset_states_allocations(self, toy):
+        env = SchedulingEnv(toy)
+        first = env.legal_allocations()
+        while not env.done:
+            env.step(len(env.legal_allocations()) - 1)
+        assert env.reset() == (IDLE, IDLE, 0, 0)
+        assert env.entries == []
+        assert env.legal_allocations() is first
+        assert first == brute_force_allocations(env)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)

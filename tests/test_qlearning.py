@@ -3,6 +3,8 @@
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from flexshop.environment import SchedulingEnv
@@ -21,7 +23,84 @@ from conftest import tiny_instance
 OBS = (-1, -1, 0, 0)
 
 
+class FlatQTable:
+    """Reference Q-table: one dict entry per (observation, action) pair."""
+
+    def __init__(self):
+        self.table = {}
+
+    def __len__(self):
+        return len(self.table)
+
+    def has(self, obs, action):
+        return (obs, action) in self.table
+
+    def get(self, obs, action):
+        return self.table.get((obs, action), 0.0)
+
+    def set(self, obs, action, value):
+        self.table[(obs, action)] = value
+
+    def max_value(self, obs, action_count):
+        return max((self.get(obs, a) for a in range(action_count)),
+                   default=0.0)
+
+    def argmax(self, obs, action_count):
+        best, best_value = 0, self.get(obs, 0)
+        for a in range(1, action_count):
+            value = self.get(obs, a)
+            if value > best_value:
+                best, best_value = a, value
+        return best
+
+
+def stored(q: QTable) -> list:
+    """Every stored ((observation, action), value), sorted by key."""
+    return sorted(q.items(), key=lambda item: item[0])
+
+
+VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0, -1.0, -2.0, 3.5]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+# Two observations and few actions, so rows are often read with an
+# action count both below and past their length.
+QTABLE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 1), st.integers(0, 4), VALUES),
+    st.tuples(st.sampled_from(["get", "has"]), st.integers(0, 1),
+              st.integers(0, 6)),
+    st.tuples(st.sampled_from(["max_value", "argmax"]), st.integers(0, 1),
+              st.integers(0, 7)),
+    st.tuples(st.just("len")),
+), max_size=40)
+
+
 class TestQTable:
+    @given(QTABLE_OPS)
+    @example([("set", 0, 0, -2.0), ("argmax", 0, 3), ("max_value", 0, 3)])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_flat_reference(self, ops):
+        q, ref = QTable(), FlatQTable()
+        for name, *args in ops:
+            if args:
+                args[0] = (args[0], -1)  # an observation key
+            if name == "set":
+                q.set(*args)
+                ref.set(*args)
+            elif name == "len":
+                assert len(q) == len(ref)
+            else:
+                assert getattr(q, name)(*args) == getattr(ref, name)(*args)
+        assert len(q) == len(ref)
+        assert stored(q) == sorted(ref.table.items())
+
+    def test_stored_zero_is_not_unset(self):
+        q = QTable()
+        q.set(OBS, 2, 0.0)
+        q.set(OBS, 3, -0.0)
+        assert not q.has(OBS, 0) and not q.has(OBS, 1)
+        assert q.has(OBS, 2) and q.has(OBS, 3)
+        assert len(q) == 2
+        assert stored(q) == [((OBS, 2), 0.0), ((OBS, 3), 0.0)]
+
     def test_default_zero(self):
         q = QTable()
         assert q.get(OBS, 0) == 0.0
@@ -40,6 +119,16 @@ class TestQTable:
         # Action 1 is unseen and defaults to the optimistic 0.
         assert q.max_value(OBS, 3) == 0.0
         assert q.max_value(OBS, 1) == -3.0
+
+    def test_unset_slots_past_the_row(self):
+        q = QTable()
+        q.set(OBS, 0, -5.0)
+        q.set(OBS, 1, -1.0)
+        # Action 2 is past the stored row and defaults to the optimistic 0.
+        assert q.argmax(OBS, 3) == 2
+        assert q.max_value(OBS, 3) == 0.0
+        assert q.argmax(OBS, 2) == 1
+        assert q.max_value(OBS, 2) == -1.0
 
     def test_argmax_lowest_index_tie(self):
         q = QTable()
@@ -110,11 +199,13 @@ class TestTrain:
         assert a.episode_makespans == b.episode_makespans
         assert a.test_makespans == b.test_makespans
         assert a.best_schedule == b.best_schedule
-        assert a.q._table == b.q._table
+        assert len(a.q) == len(b.q) > 0
+        assert stored(a.q) == stored(b.q)
 
     def test_q_values_nonpositive(self, toy):
         report = train(toy, LearnerConfig(episodes=500, seed=3))
-        assert all(v <= 1e-9 for v in report.q._table.values())
+        assert len(report.q) > 0
+        assert all(v <= 1e-9 for _, v in report.q.items())
 
     def test_epsilon_decay_floor(self, toy):
         cfg = LearnerConfig(episodes=200, epsilon_start=0.5, epsilon_min=0.4,
