@@ -7,7 +7,6 @@ Exit codes: 0 ok, 1 solver or validation failure, 2 usage error.
 from __future__ import annotations
 
 import csv
-import io
 import sys
 import time
 import typing
@@ -200,34 +199,32 @@ def bench(instances, solvers, out, **overrides):
     """Comparison table of makespan and CPU seconds per solver."""
     solvers = _build([s for s in SOLVERS if s in solvers], overrides)
     instances = [_load(path) for path in instances]
-    rows = []
+    rows = []  # (instance, size, [(makespan, cpu) or (None, None)])
     for inst in instances:
-        size = f"{inst.job_count}x{inst.machine_count}"
-        cells = {}
+        cells = []
         for name, solver in solvers.items():
             try:
                 cpu = _run_cell(inst, name, solver)
-                cells[name] = (solver.best_makespan_, cpu)
+                cells.append((solver.best_makespan_, cpu))
             except NodeBudgetExceeded:
-                cells[name] = (None, None)
-        rows.append((inst.name, size, cells))
+                cells.append((None, None))
+        rows.append((inst.name, f"{inst.job_count}x{inst.machine_count}", cells))
 
-    text = io.StringIO()
+    def fields(row, cpu_text) -> list[str]:
+        name_, size, cells = row
+        out = [name_, size]
+        for ms, cpu in cells:
+            out += ["NA", "NA"] if ms is None else [str(ms), cpu_text(cpu)]
+        return out
+
     header = ["instance", "size"]
     for name in solvers:
         header += [name, f"{name}:cpu"]
     widths = [max(10, len(h)) for h in header]
-    text.write("  ".join(h.ljust(w) for h, w in zip(header, widths)) + "\n")
-    for name_, size, cells in rows:
-        fields = [name_, size]
-        for s in solvers:
-            ms, cpu = cells[s]
-            fields.append("NA" if ms is None else str(ms))
-            fields.append("NA" if cpu is None else f"{cpu:.3f}")
-        text.write(
-            "  ".join(f.ljust(w) for f, w in zip(fields, widths)) + "\n"
-        )
-    table = text.getvalue()
+    table = "".join(
+        "  ".join(f.ljust(w) for f, w in zip(line, widths)) + "\n"
+        for line in [header] + [fields(row, "{:.3f}".format) for row in rows]
+    )
     click.echo(table, nl=False)
 
     if out is not None:
@@ -237,14 +234,8 @@ def bench(instances, solvers, out, **overrides):
         with (out_dir / "table.csv").open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for name_, size, cells in rows:
-                row = [name_, size]
-                for s in solvers:
-                    ms, cpu = cells[s]
-                    row += ["NA" if ms is None else ms,
-                            "NA" if cpu is None else repr(cpu)]
-                writer.writerow(row)
-    failed = any(ms is None for _, _, cells in rows for ms, _ in cells.values())
+            writer.writerows(fields(row, repr) for row in rows)
+    failed = any(ms is None for _, _, cells in rows for ms, _ in cells)
     sys.exit(1 if failed else 0)
 
 

@@ -56,33 +56,32 @@ class DivisionConfig(LearnerConfig):
 def split(inst: Instance, cfg: DivisionConfig) -> SplitPlan:
     """Cut each job's operation chain into `cfg.parts` contiguous segments.
 
-    BY_OP_COUNT segments are as even as possible in operation count (larger
-    segments first).  BY_MEAN_DURATION buckets each operation by where its
-    expected start (cumulative expected duration of its predecessors) falls
-    on the job's evenly divided expected timeline.  Either way the first
-    segment of every job holds at least one operation; later segments may
-    be empty.
+    Each operation goes to the segment where its start on the job's weight
+    timeline (the cumulative weight of its predecessors) falls, with the
+    timeline cut into `parts` equal pieces.  BY_MEAN_DURATION weighs an
+    operation by its expected duration; BY_OP_COUNT weighs each operation
+    1, which makes segments as even as possible in operation count (larger
+    segments first).  Either way the first segment of every job holds at
+    least one operation; later segments may be empty.
     """
     parts = cfg.parts
     max_ops = max(len(job) for job in inst.jobs)
     if parts > max_ops:
         raise ValueError(f"parts must be in 2..{max_ops}, got {parts}")
-    expected = DURATION_MODES[cfg.duration_mode]
+    weight = (DURATION_MODES[cfg.duration_mode]
+              if cfg.strategy == SplitStrategy.BY_MEAN_DURATION
+              else lambda op: 1)
 
     boundaries = []
     for job in inst.jobs:
-        n_ops = len(job)
-        if cfg.strategy == SplitStrategy.BY_OP_COUNT:
-            cuts = [0] + [-(-k * n_ops // parts) for k in range(1, parts)] + [n_ops]
-        else:
-            durations = [expected(op) for op in job.operations]
-            total = sum(durations, Fraction(0))
-            seg_of_op = []
-            cumulative = Fraction(0)
-            for value in durations:
-                seg_of_op.append(min(parts - 1, int(cumulative * parts / total)))
-                cumulative += value
-            cuts = [sum(1 for s in seg_of_op if s < k) for k in range(parts + 1)]
+        weights = [weight(op) for op in job.operations]
+        total = sum(weights, Fraction(0))
+        seg_of_op = []
+        cumulative = Fraction(0)
+        for value in weights:
+            seg_of_op.append(min(parts - 1, int(cumulative * parts / total)))
+            cumulative += value
+        cuts = [sum(1 for s in seg_of_op if s < k) for k in range(parts + 1)]
         boundaries.append(tuple(cuts))
     return SplitPlan(inst, parts, tuple(boundaries))
 

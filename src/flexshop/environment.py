@@ -88,6 +88,10 @@ class SchedulingEnv:
                 for op in range(1, len(row) - 1)
             })
             for machine, order in machine_order.items():
+                if not (isinstance(machine, int)
+                        and 0 <= machine < instance.machine_count):
+                    raise ValueError(f"machine order key {machine!r} is not a "
+                                     f"machine of {instance.name}")
                 order = tuple((job, op) for job, op in order)
                 for before, (job, op) in zip((None,) + order, order):
                     if not (0 <= job < instance.job_count

@@ -125,7 +125,6 @@ class TrainingReport:
     episode_times: list[float]  # elapsed seconds at the end of each episode
     test_makespans: list[tuple[int, int]]  # (episode, greedy makespan)
     test_times: list[float]  # elapsed seconds at the end of each greedy test
-    episodes_to_best: int
     wall_time: float
     q: QTable
     final_epsilon: float
@@ -190,37 +189,33 @@ def _as_env(env_or_instance) -> SchedulingEnv:
     return env_or_instance
 
 
-def train(inst_or_env, cfg: LearnerConfig, q: QTable | None = None,
-          epsilon: float | None = None) -> TrainingReport:
-    """Run cfg.episodes training episodes and track the best schedule.
-
-    `q` and `epsilon` allow resuming a previous run.  Every
-    cfg.test_interval episodes a greedy test episode is rolled out.
+def train(inst_or_env, cfg: LearnerConfig) -> TrainingReport:
+    """Run cfg.episodes training episodes from an empty Q-table and track
+    the best schedule.  Every cfg.test_interval episodes a greedy test
+    episode is rolled out.
     """
     env = _as_env(inst_or_env)
-    q = q if q is not None else QTable()
+    q = QTable()
     rng = Random(cfg.seed)
-    eps = cfg.epsilon_start if epsilon is None else epsilon
+    eps = cfg.epsilon_start
 
     start = time.perf_counter()
     best_schedule: Schedule | None = None
-    episodes_to_best = 0
     episode_makespans: list[int] = []
     episode_times: list[float] = []
     test_makespans: list[tuple[int, int]] = []
     test_times: list[float] = []
 
-    def record(ms: int, episode: int):
-        nonlocal best_schedule, episodes_to_best
+    def record(ms: int):
+        nonlocal best_schedule
         if best_schedule is None or ms < best_schedule.makespan:
             best_schedule = env.extract_schedule()
-            episodes_to_best = episode
 
     for episode in range(1, cfg.episodes + 1):
         ms, trace = _rollout(env, q, eps, rng, cfg.alpha)
         episode_makespans.append(ms)
         episode_times.append(time.perf_counter() - start)
-        record(ms, episode)
+        record(ms)
         if cfg.prepopulate:
             backward_pass(q, trace, cfg.include_immediate_reward)
         eps = max(cfg.epsilon_min, eps * cfg.epsilon_decay)
@@ -229,7 +224,7 @@ def train(inst_or_env, cfg: LearnerConfig, q: QTable | None = None,
             test_ms = _greedy(env, q)
             test_makespans.append((episode, test_ms))
             test_times.append(time.perf_counter() - start)
-            record(test_ms, episode)
+            record(test_ms)
         if (cfg.time_budget is not None
                 and time.perf_counter() - start > cfg.time_budget):
             break
@@ -241,7 +236,6 @@ def train(inst_or_env, cfg: LearnerConfig, q: QTable | None = None,
         episode_times=episode_times,
         test_makespans=test_makespans,
         test_times=test_times,
-        episodes_to_best=episodes_to_best,
         wall_time=time.perf_counter() - start,
         q=q,
         final_epsilon=eps,

@@ -28,7 +28,7 @@ def _field_names(config_type) -> tuple[str, ...]:
 
 
 class BaseSolver:
-    """Shared parameter handling and fit bookkeeping."""
+    """Parameter handling and the shared `fit`; subclasses implement `_solve`."""
 
     config_type: type = BaselineConfig
     params: tuple[str, ...] = ()
@@ -65,13 +65,16 @@ class BaseSolver:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
 
-    @staticmethod
-    def _check_instance(inst) -> Instance:
+    @property
+    def is_fitted(self) -> bool:
+        return hasattr(self, "best_schedule_")
+
+    def fit(self, inst: Instance) -> "BaseSolver":
+        """Solve `inst` and keep the schedule as `best_schedule_` /
+        `best_makespan_`."""
         if not isinstance(inst, Instance):
             raise TypeError(f"expected Instance, got {type(inst).__name__}")
-        return inst
-
-    def _finish(self, schedule: Schedule, inst: Instance) -> "BaseSolver":
+        schedule = self._solve(inst)
         violations = validate_schedule(inst, schedule)
         if violations:  # solver bug guard; never expected to trigger
             raise RuntimeError(f"solver produced invalid schedule: {violations}")
@@ -79,11 +82,7 @@ class BaseSolver:
         self.best_makespan_ = schedule.makespan
         return self
 
-    @property
-    def is_fitted(self) -> bool:
-        return hasattr(self, "best_schedule_")
-
-    def fit(self, inst: Instance) -> "BaseSolver":
+    def _solve(self, inst: Instance) -> Schedule:
         raise NotImplementedError
 
 
@@ -94,17 +93,13 @@ class QLearningSolver(BaseSolver):
     config_type = LearnerConfig
     params = _field_names(LearnerConfig)
 
-    def fit(self, inst: Instance) -> "QLearningSolver":
-        inst = self._check_instance(inst)
+    def _solve(self, inst: Instance) -> Schedule:
         self.report_ = train(inst, self.config)
-        self.q_table_ = self.report_.q
-        return self._finish(self.report_.best_schedule, inst)
+        return self.report_.best_schedule
 
     def predict(self, inst: Instance) -> Schedule:
         """Greedy rollout of the learned Q-table on `inst`."""
-        if not self.is_fitted:
-            raise NotFittedError("QLearningSolver is not fitted")
-        return greedy_rollout(inst, self.q_table_)
+        return greedy_rollout(inst, self.report_.q)
 
 
 class DividedQLearningSolver(BaseSolver):
@@ -113,49 +108,43 @@ class DividedQLearningSolver(BaseSolver):
     config_type = DivisionConfig
     params = _field_names(DivisionConfig)
 
-    def fit(self, inst: Instance) -> "DividedQLearningSolver":
-        inst = self._check_instance(inst)
+    def _solve(self, inst: Instance) -> Schedule:
         schedule, self.stage_reports_ = solve_divided(inst, self.config)
-        return self._finish(schedule, inst)
+        return schedule
 
 
 class RandomSamplingSolver(BaseSolver):
     params = ("episodes", "seed")
 
-    def fit(self, inst: Instance) -> "RandomSamplingSolver":
-        inst = self._check_instance(inst)
-        return self._finish(baselines.random_sampling(inst, self.config), inst)
+    def _solve(self, inst: Instance) -> Schedule:
+        return baselines.random_sampling(inst, self.config)
 
 
 class FifoSolver(BaseSolver):
-    def fit(self, inst: Instance) -> "FifoSolver":
-        inst = self._check_instance(inst)
-        return self._finish(baselines.fifo(inst), inst)
+    def _solve(self, inst: Instance) -> Schedule:
+        return baselines.fifo(inst)
 
 
 class MwkrSolver(BaseSolver):
     params = ("duration_mode",)
 
-    def fit(self, inst: Instance) -> "MwkrSolver":
-        inst = self._check_instance(inst)
-        return self._finish(baselines.mwkr(inst, self.config.duration_mode), inst)
+    def _solve(self, inst: Instance) -> Schedule:
+        return baselines.mwkr(inst, self.config.duration_mode)
 
 
 class GeneticSolver(BaseSolver):
     params = ("population", "generations", "crossover_rate", "mutation_rate",
               "stagnation", "seed")
 
-    def fit(self, inst: Instance) -> "GeneticSolver":
-        inst = self._check_instance(inst)
-        return self._finish(baselines.genetic(inst, self.config), inst)
+    def _solve(self, inst: Instance) -> Schedule:
+        return baselines.genetic(inst, self.config)
 
 
 class ExhaustiveSolver(BaseSolver):
     params = ("node_budget",)
 
-    def fit(self, inst: Instance) -> "ExhaustiveSolver":
-        inst = self._check_instance(inst)
-        return self._finish(baselines.exhaustive_oracle(inst, self.config), inst)
+    def _solve(self, inst: Instance) -> Schedule:
+        return baselines.exhaustive_oracle(inst, self.config)
 
 
 # Registry name -> (class, params fixed for that name).

@@ -1,5 +1,6 @@
 """Instance division: splitting, combining, and constrained solving."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -16,7 +17,7 @@ from flexshop.division import (
     split,
 )
 from flexshop.environment import WAIT, SchedulingEnv
-from flexshop.instance import parse_instance
+from flexshop.instance import DURATION_MODES, parse_instance
 from flexshop.qlearning import LearnerConfig
 from flexshop.schedule import validate_schedule
 
@@ -70,7 +71,45 @@ def order_is_runnable(inst, order) -> bool:
     return all(job_op[j] == len(job) for j, job in enumerate(inst.jobs))
 
 
+def reference_boundaries(inst, cfg):
+    """The closed forms `split` replaced: ceil(k·n/parts) cuts by operation
+    count, or each op bucketed by its expected start."""
+    expected = DURATION_MODES[cfg.duration_mode]
+    boundaries = []
+    for job in inst.jobs:
+        n_ops = len(job)
+        if cfg.strategy == SplitStrategy.BY_OP_COUNT:
+            cuts = [0] + [-(-k * n_ops // cfg.parts)
+                          for k in range(1, cfg.parts)] + [n_ops]
+        else:
+            durations = [expected(op) for op in job.operations]
+            total = sum(durations, Fraction(0))
+            seg_of_op = []
+            cumulative = Fraction(0)
+            for value in durations:
+                seg_of_op.append(min(cfg.parts - 1,
+                                     int(cumulative * cfg.parts / total)))
+                cumulative += value
+            cuts = [sum(1 for s in seg_of_op if s < k)
+                    for k in range(cfg.parts + 1)]
+        boundaries.append(tuple(cuts))
+    return tuple(boundaries)
+
+
 class TestSplit:
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference(self, seed):
+        inst = tiny_instance(seed, max_ops=6)
+        max_ops = max(len(job) for job in inst.jobs)
+        for parts in range(2, max_ops + 1):
+            for strategy in SplitStrategy:
+                for mode in ("mean", "max"):
+                    cfg = DivisionConfig(parts=parts, strategy=strategy,
+                                         duration_mode=mode)
+                    assert (split(inst, cfg).boundaries
+                            == reference_boundaries(inst, cfg))
+
     def test_toy_by_op_count(self, toy):
         plan = split(toy, divided(SplitStrategy.BY_OP_COUNT))
         # First segment: J1's first op, J2's first two ops.
@@ -161,7 +200,11 @@ class TestConstrainedEnv:
         (CYCLIC, CYCLIC_ORDER, r"cyclic on .*\(0, 0\)"),
         # An op listed twice must wait for itself.
         (ONE_OP, {0: ((0, 0), (0, 0))}, "cyclic"),
-    ], ids=["op-outside", "machine-cannot-run", "cyclic", "listed-twice"])
+        # A JSON-loaded order has string keys; machine 0 can run the op.
+        (ONE_OP, {"0": [[0, 0]]}, "key '0' is not a machine"),
+        (ONE_OP, {2: ((0, 0),)}, "key 2 is not a machine"),
+    ], ids=["op-outside", "machine-cannot-run", "cyclic", "listed-twice",
+            "string-key", "key-out-of-range"])
     def test_constraint_outside_instance_rejected(self, inst, order, match):
         with pytest.raises(ValueError, match=match):
             SchedulingEnv(inst, order)

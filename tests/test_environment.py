@@ -69,11 +69,25 @@ def brute_force_allocations(env: SchedulingEnv, allowed=None
     return vectors
 
 
+def walk_to_end(env: SchedulingEnv, choose, cap: int):
+    """Step by `choose(legal count)` to the end in at most `cap` steps."""
+    for _ in range(cap):
+        if env.done:
+            return
+        env.step(choose(len(env.legal_allocations())))
+    assert env.done, f"walk on {env.instance.name} passed {cap} steps"
+
+
 def walk_checking_state(env: SchedulingEnv, rng: Random, allowed=None):
     """Random walk to the end, checking the incremental state against a
-    recomputation from the raw arrays at every state, terminal one included."""
+    recomputation from the raw arrays at every state, terminal one included.
+
+    Each step assigns an operation or is a pure wait that completes one, so
+    a walk ends within twice the operation count; one that does not fails.
+    """
     inst = env.instance
-    while True:
+    cap = 2 * inst.total_operations
+    for _ in range(cap + 1):
         assert env.done == all(
             env.job_op[j] >= len(inst.jobs[j]) for j in range(inst.job_count)
         )
@@ -87,14 +101,13 @@ def walk_checking_state(env: SchedulingEnv, rng: Random, allowed=None):
         obs = env.observation()
         entries = env.entries
         legal = list(env.legal_allocations())
-        twin = env.clone()
-        while not twin.done:
-            twin.step(rng.randrange(len(twin.legal_allocations())))
+        walk_to_end(env.clone(), rng.randrange, cap)
         assert env.observation() == obs
         assert env.entries == entries
         assert env.legal_allocations() == legal
         assert legal == brute_force_allocations(env, allowed)
         env.step(rng.randrange(len(legal)))
+    pytest.fail(f"walk on {inst.name} passed {cap} steps")
 
 
 class TestReset:
@@ -109,8 +122,7 @@ class TestReset:
     def test_reset_reuses_the_reset_states_allocations(self, toy):
         env = SchedulingEnv(toy)
         first = env.legal_allocations()
-        while not env.done:
-            env.step(len(env.legal_allocations()) - 1)
+        walk_to_end(env, lambda count: count - 1, 2 * toy.total_operations)
         assert env.reset() == (IDLE, IDLE, 0, 0)
         assert env.entries == []
         assert env.legal_allocations() is first

@@ -191,7 +191,6 @@ class TestTrain:
     def test_one_by_one(self, one_by_one):
         report = train(one_by_one, LearnerConfig(episodes=1))
         assert report.best_schedule.makespan == 5
-        assert report.episodes_to_best == 1
 
     def test_determinism(self, toy):
         cfg = LearnerConfig(episodes=300, seed=11)
@@ -240,12 +239,6 @@ class TestTrain:
         report = train(ft06, LearnerConfig(episodes=1_000_000, time_budget=2.0))
         assert report.wall_time < 10
         assert len(report.episode_makespans) < 1_000_000
-
-    def test_resume_with_q(self, toy):
-        cfg = LearnerConfig(episodes=100, seed=5)
-        first = train(toy, cfg)
-        resumed = train(toy, cfg, q=first.q, epsilon=first.final_epsilon)
-        assert resumed.best_schedule.makespan <= first.best_schedule.makespan
 
 
 class TestGreedyRollout:

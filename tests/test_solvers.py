@@ -4,13 +4,15 @@ import pytest
 
 from flexshop.division import SplitStrategy
 from flexshop.solvers import (
+    SOLVERS,
+    BaseSolver,
     DividedQLearningSolver,
     GeneticSolver,
     NotFittedError,
     QLearningSolver,
     make_solver,
 )
-from flexshop.schedule import validate_schedule
+from flexshop.schedule import Schedule, ScheduleEntry, validate_schedule
 
 
 class TestEstimatorApi:
@@ -76,6 +78,25 @@ class TestEstimatorApi:
     def test_fit_returns_self(self, toy):
         solver = QLearningSolver(episodes=50)
         assert solver.fit(toy) is solver
+
+    @pytest.mark.parametrize("name", list(SOLVERS))
+    def test_fit_rejects_non_instance(self, name):
+        with pytest.raises(TypeError, match="expected Instance, got str"):
+            make_solver(name).fit("not an instance")
+
+    def test_invalid_schedule_guard(self, toy):
+        class Broken(BaseSolver):
+            def _solve(self, inst):
+                # Runs only job 0's first operation.
+                op = inst.jobs[0].operations[0]
+                machine, duration = next(iter(op.alternatives.items()))
+                return Schedule.from_entries(
+                    [ScheduleEntry(0, 0, machine, 0, duration)])
+
+        solver = Broken()
+        with pytest.raises(RuntimeError, match="invalid schedule"):
+            solver.fit(toy)
+        assert not solver.is_fitted
 
 
 class TestMakeSolver:
