@@ -3,6 +3,7 @@ exhaustive branch-and-bound oracle for desk-scale optimality checks."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from random import Random
 
@@ -216,51 +217,98 @@ def genetic(inst: Instance, cfg: BaselineConfig) -> Schedule:
 # -- exhaustive oracle ----------------------------------------------------
 
 
-def lower_bound(env: SchedulingEnv, min_remaining: list[list[int]]) -> int:
-    """Job-chain bound: the latest over jobs of the clock, the running
-    operation's remaining time and the minimum durations still to run."""
-    bound = env.clock
-    for j, rest in enumerate(min_remaining):
-        t, o, m = env.clock, env.job_op[j], env.job_machine[j]
-        if m != IDLE:
-            t += env.machine_remaining[m]
+def _pinned_work(inst: Instance) -> list[list[tuple[int, ...]]]:
+    """pinned[j][o][m]: the summed durations of job j's operations from o
+    on that only machine m can run; a finished job's entry is all 0."""
+    pinned = []
+    for job in inst.jobs:
+        suffix = [(0,) * inst.machine_count]
+        for op in reversed(job.operations):
+            load = list(suffix[-1])
+            if len(op.alternatives) == 1:
+                (m, duration), = op.alternatives.items()
+                load[m] += duration
+            suffix.append(tuple(load))
+        pinned.append(suffix[::-1])
+    return pinned
+
+
+def lower_bound(env: SchedulingEnv, min_remaining: list[list[int]],
+                pinned: list[list[tuple[int, ...]]]) -> int:
+    """The clock plus the largest of three admissible bounds on the time
+    still needed:
+
+    - job chain: over jobs, the running operation's remaining time plus
+      the minimum durations of the operations still to start;
+    - heaviest machine: over machines, its remaining time plus the
+      operations still to start that only it can run (a flexible
+      operation is charged to no machine);
+    - average load: all machines' remaining time plus the minimum
+      durations of all operations still to start, spread evenly over the
+      machines and rounded up.
+    """
+    remaining = env.machine_remaining
+    chain = 0
+    total = sum(remaining)
+    loads = [remaining]
+    for rest, pins, o, m in zip(min_remaining, pinned, env.job_op,
+                                env.job_machine):
+        if m == IDLE:
+            work = rest[o]
+        else:
             o += 1
-        bound = max(bound, t + rest[o])
-    return bound
+            work = remaining[m] + rest[o]
+        if work > chain:
+            chain = work
+        total += rest[o]
+        loads.append(pins[o])
+    heaviest = max(map(sum, zip(*loads)))
+    return env.clock + max(chain, heaviest, -(-total // len(remaining)))
 
 
 def exhaustive_oracle(inst: Instance, cfg: BaselineConfig | None = None
                       ) -> Schedule:
     """Provably optimal schedule by depth-first search over the environment's
-    legal-allocation sequences, with branch-and-bound pruning.
+    legal-allocation sequences, with branch-and-bound pruning by
+    `lower_bound`.  Among optimal schedules it returns the first leaf in
+    search order, or the mwkr incumbent when no leaf beats it.  The search
+    keeps its own stack, so episode length is not bounded by recursion.
 
     Raises :class:`NodeBudgetExceeded` when the search tree outgrows
     cfg.node_budget nodes; intended for tiny instances only.
     """
     cfg = cfg or BaselineConfig()
     min_remaining = _remaining_work(inst, DURATION_MODES["min"])
+    pinned = _pinned_work(inst)
     # A dispatching-rule schedule seeds the incumbent upper bound.
     best = mwkr(inst)
     nodes = 0
+    # Per expanded node: the node and an iterator over its unvisited actions.
+    stack: list[tuple[SchedulingEnv, Iterator[int]]] = []
 
-    def search(env: SchedulingEnv):
+    def enter(env: SchedulingEnv):
         nonlocal best, nodes
         nodes += 1
         if nodes > cfg.node_budget:
             raise NodeBudgetExceeded(
                 f"oracle exceeded {cfg.node_budget} nodes on {inst.name}"
             )
+        # At a terminal state the clock is the makespan, so a schedule is
+        # built only for an improving leaf.
         if env.done:
-            sched = env.extract_schedule()
-            if sched.makespan < best.makespan:
-                best = sched
-            return
-        if lower_bound(env, min_remaining) >= best.makespan:
-            return
-        for action in range(len(env.legal_allocations())):
+            if env.clock < best.makespan:
+                best = env.extract_schedule()
+        elif lower_bound(env, min_remaining, pinned) < best.makespan:
+            stack.append((env, iter(range(len(env.legal_allocations())))))
+
+    enter(SchedulingEnv(inst))
+    while stack:
+        env, actions = stack[-1]
+        action = next(actions, None)
+        if action is None:
+            stack.pop()
+        else:
             child = env.clone()
             child.step(action)
-            search(child)
-
-    search(SchedulingEnv(inst))
+            enter(child)
     return best

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import copysign
 from random import Random
 
-from .environment import SchedulingEnv
+from .environment import SchedulingEnv, SchedulingError
 from .instance import Instance
 from .prepopulate import EpisodeTrace, backward_pass
 from .schedule import Schedule
@@ -169,9 +169,20 @@ def _rollout(env: SchedulingEnv, q: QTable, epsilon: float, rng: Random,
 
 
 def _greedy(env: SchedulingEnv, q: QTable) -> int:
-    """One epsilon=0 episode without updates; returns the makespan."""
+    """One epsilon=0 episode without updates; returns the makespan.
+
+    Each step starts an operation or, by a pure wait, finishes one, so an
+    episode that has not ended in twice the operation count is an
+    environment fault, raised as :class:`SchedulingError`.
+    """
     obs = env.reset()
+    limit = 2 * env.instance.total_operations
+    steps = 0
     while not env.done:
+        if steps == limit:
+            raise SchedulingError(f"greedy episode on {env.instance.name} "
+                                  f"did not end in {limit} steps")
+        steps += 1
         obs = env.step(q.argmax(obs, len(env.legal_allocations()))).observation
     return env.clock
 

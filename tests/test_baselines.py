@@ -1,5 +1,8 @@
 """Baseline solvers and the exhaustive oracle."""
 
+import math
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,7 @@ from flexshop.baselines import (
     NodeBudgetExceeded,
     _alternatives,
     _decode,
+    _pinned_work,
     _remaining_work,
     exhaustive_oracle,
     fifo,
@@ -91,8 +95,10 @@ def reference_mwkr(inst: Instance, duration_mode: str) -> Schedule:
     return reference_dispatch(inst, remaining_work)
 
 
-def reference_lower_bound(inst: Instance, env: SchedulingEnv) -> int:
-    """The oracle's job-chain bound, re-summed from the instance."""
+def reference_chain_bound(inst: Instance, env: SchedulingEnv) -> int:
+    """The job-chain bound, re-summed from the instance: the latest over
+    jobs of the clock, the running operation's remaining time and the
+    minimum durations still to run."""
     bound = env.clock
     for j, job in enumerate(inst.jobs):
         t, start = env.clock, env.job_op[j]
@@ -103,6 +109,78 @@ def reference_lower_bound(inst: Instance, env: SchedulingEnv) -> int:
             t += op.min_duration()
         bound = max(bound, t)
     return bound
+
+
+def reference_lower_bound(inst: Instance, env: SchedulingEnv) -> int:
+    """The oracle's bound, re-summed from the instance: the job-chain bound,
+    the heaviest machine counting only single-machine operations not yet
+    started, and the average load rounded up."""
+    loads = list(env.machine_remaining)
+    total = sum(env.machine_remaining)
+    for j, job in enumerate(inst.jobs):
+        start = env.job_op[j] + (env.job_machine[j] != IDLE)
+        for op in job.operations[start:]:
+            total += op.min_duration()
+            if len(op.alternatives) == 1:
+                loads[op.machines()[0]] += op.min_duration()
+    return max(reference_chain_bound(inst, env),
+               env.clock + max(loads),
+               env.clock + math.ceil(total / inst.machine_count))
+
+
+def reference_oracle(inst: Instance) -> Schedule:
+    """The oracle before the load bounds: recursive, pruned by the job-chain
+    bound alone, and building a schedule at every leaf."""
+    best = mwkr(inst)
+
+    def search(env: SchedulingEnv):
+        nonlocal best
+        if env.done:
+            sched = env.extract_schedule()
+            if sched.makespan < best.makespan:
+                best = sched
+            return
+        if reference_chain_bound(inst, env) >= best.makespan:
+            return
+        for action in range(len(env.legal_allocations())):
+            child = env.clone()
+            child.step(action)
+            search(child)
+
+    search(SchedulingEnv(inst))
+    return best
+
+
+def brute_force_makespan(env: SchedulingEnv, memo: dict) -> int:
+    """Best makespan reachable from `env` by an unpruned search over every
+    legal action.  `memo` maps a state to its best remaining time; the
+    state (current ops, assigned machines, machines' remaining times) fixes
+    every future of an unconstrained environment, so the memo only saves
+    repeating identical subtrees."""
+    if env.done:
+        return env.clock
+    key = (tuple(env.job_op), tuple(env.job_machine),
+           tuple(env.machine_remaining))
+    if key not in memo:
+        best = None
+        for action in range(len(env.legal_allocations())):
+            child = env.clone()
+            child.step(action)
+            makespan = brute_force_makespan(child, memo)
+            if best is None or makespan < best:
+                best = makespan
+        memo[key] = best - env.clock
+    return env.clock + memo[key]
+
+
+def long_instance() -> Instance:
+    """3 jobs x 800 single-machine operations on 2 machines: job j's op k
+    runs on machine (j + k) % 2.  An episode takes thousands of steps."""
+    rng = Random(3)
+    return Instance(2, tuple(
+        JobSpec(tuple(OperationSpec({(j + k) % 2: rng.randint(1, 9)})
+                      for k in range(800)))
+        for j in range(3)), name="long")
 
 
 @st.composite
@@ -235,19 +313,50 @@ class TestOracle:
         with pytest.raises(NodeBudgetExceeded):
             exhaustive_oracle(ft06, BaselineConfig(node_budget=1000))
 
+    def test_long_episode_exceeds_budget(self):
+        # Episodes thousands of steps deep must not exhaust the call stack.
+        with pytest.raises(NodeBudgetExceeded):
+            exhaustive_oracle(long_instance(), BaselineConfig(node_budget=5000))
+
     @given(instances(max_jobs=4, max_machines=3), st.data())
     @settings(max_examples=150, deadline=None)
     def test_lower_bound_matches_per_node_sum(self, inst, data):
         # Walk one random episode; compare the bounds at every state on it.
         min_remaining = _remaining_work(inst, OperationSpec.min_duration)
+        pinned = _pinned_work(inst)
         env = SchedulingEnv(inst)
         while True:
-            assert lower_bound(env, min_remaining) == \
+            assert lower_bound(env, min_remaining, pinned) == \
                 reference_lower_bound(inst, env)
             if env.done:
                 break
             count = len(env.legal_allocations())
             env.step(data.draw(st.integers(0, count - 1)))
+
+    @given(instances(max_jobs=3, max_machines=3, max_ops=3), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_lower_bound_admissible(self, inst, data):
+        # Along a random episode, no state's bound exceeds the best makespan
+        # still reachable from it.
+        min_remaining = _remaining_work(inst, OperationSpec.min_duration)
+        pinned = _pinned_work(inst)
+        memo: dict = {}
+        env = SchedulingEnv(inst)
+        while not env.done:
+            assert lower_bound(env, min_remaining, pinned) <= \
+                brute_force_makespan(env.clone(), memo)
+            count = len(env.legal_allocations())
+            env.step(data.draw(st.integers(0, count - 1)))
+
+    def test_same_schedule_as_chain_bound_oracle_on_criterion_1(self):
+        for seed in range(50):
+            inst = tiny_instance(seed)
+            assert exhaustive_oracle(inst) == reference_oracle(inst)
+
+    @given(instances(max_jobs=3, max_machines=3, max_ops=3))
+    @settings(max_examples=80, deadline=None)
+    def test_same_schedule_as_chain_bound_oracle(self, inst):
+        assert exhaustive_oracle(inst) == reference_oracle(inst)
 
     def test_no_solver_beats_oracle(self):
         for seed in range(12):

@@ -11,8 +11,10 @@ from flexshop.cli import main, solve
 from flexshop.data import bundled_path
 from flexshop.division import SplitStrategy
 from flexshop.schedule import parse_schedule, validate_schedule
-from flexshop.instance import load_instance
+from flexshop.instance import load_instance, write_instance
 from flexshop.solvers import SOLVERS
+
+from test_baselines import long_instance
 
 
 @pytest.fixture
@@ -58,6 +60,14 @@ class TestSolve:
             "--out", str(tmp_path),
         ])
         assert result.exit_code == 1
+        assert "budget exceeded" in result.output
+
+    def test_oracle_budget_exceeded_on_long_episode(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "solve", "--instance", "-", "--solver", "oracle",
+            "--node-budget", "5000", "--out", str(tmp_path),
+        ], input=write_instance(long_instance()))
+        assert result.exit_code == 1, result.output
         assert "budget exceeded" in result.output
 
     def test_stdin_instance(self, runner, tmp_path):

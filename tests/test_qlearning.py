@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from flexshop.environment import SchedulingEnv
+from flexshop.environment import SchedulingEnv, SchedulingError, StepResult, WAIT
+from flexshop.instance import parse_instance
 from flexshop.qlearning import (
     LearnerConfig,
     QTable,
@@ -269,3 +270,25 @@ class TestGreedyRollout:
             )
             sched = greedy_rollout(inst, report.q)
             assert sched.makespan <= max(report.episode_makespans)
+
+    def test_stalled_environment_raises(self):
+        class PureWaitHolds(SchedulingEnv):
+            """A faulty environment: a pure wait leaves the state as it is."""
+
+            def _apply(self, allocation):
+                if all(m == WAIT for m in allocation):
+                    return StepResult(self.observation(), 0, False, self.clock)
+                return super()._apply(allocation)
+
+        env = PureWaitHolds(parse_instance("2 2\n1 1 1 5\n1 1 2 5\n",
+                                           name="stalls"))
+        q = QTable()
+        # Start job 0 alone, then prefer the pure wait over starting job 1.
+        root = env.reset()
+        assert env.legal_allocations()[1] == (0, WAIT)
+        q.set(root, 0, -1.0)
+        env.step(1)
+        assert env.legal_allocations() == [(WAIT, 1), (WAIT, WAIT)]
+        q.set(env.observation(), 0, -1.0)
+        with pytest.raises(SchedulingError, match="stalls.*4 steps"):
+            greedy_rollout(env, q)
