@@ -3,6 +3,7 @@ exhaustive branch-and-bound oracle for desk-scale optimality checks."""
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from random import Random
@@ -51,9 +52,10 @@ def random_sampling(inst: Instance, cfg: BaselineConfig) -> Schedule:
         env.reset()
         while not env.done:
             env.step(rng.randrange(len(env.legal_allocations())))
-        sched = env.extract_schedule()
-        if best is None or sched.makespan < best.makespan:
-            best = sched
+        # At a terminal state the clock is the makespan, so a schedule is
+        # built only for an improving episode.
+        if best is None or env.clock < best.makespan:
+            best = env.extract_schedule()
     assert best is not None
     return best
 
@@ -115,6 +117,11 @@ def mwkr(inst: Instance, duration_mode: str = "mean") -> Schedule:
     if duration_mode not in DURATION_MODES:
         raise ValueError(f"unknown duration_mode {duration_mode!r}")
     remaining = _remaining_work(inst, DURATION_MODES[duration_mode])
+    # Scaled by the lcm of the denominators, the mean's Fractions become
+    # ints in the same exact order, and ints compare faster.
+    scale = math.lcm(*(w.denominator for row in remaining for w in row))
+    remaining = [[w.numerator * (scale // w.denominator) for w in row]
+                 for row in remaining]
     return _dispatch(inst, lambda env, j, ready: remaining[j][env.job_op[j]])
 
 
@@ -122,8 +129,10 @@ def mwkr(inst: Instance, duration_mode: str = "mean") -> Schedule:
 
 
 def _alternatives(inst: Instance) -> list[list[list[tuple[int, int]]]]:
-    """Per (job, op): its (machine, duration) pairs, machines ascending."""
-    return [[sorted(op.alternatives.items()) for op in job.operations]
+    """Per (job, op): its (machine, duration) pairs, shortest first (ties:
+    lower machine id)."""
+    return [[sorted(op.alternatives.items(), key=lambda md: (md[1], md[0]))
+             for op in job.operations]
             for job in inst.jobs]
 
 
@@ -139,14 +148,21 @@ def _decode(table: list[list[list[tuple[int, int]]]], machine_count: int,
     for j in chromosome:
         o = next_op[j]
         ready = job_ready[j]
-        best_m = -1
+        best_end = -1
+        # Alternatives ascend by (duration, machine), so the first of equal
+        # ends wins the tie-break, and once a machine is free by `ready`
+        # no later alternative ends sooner.
         for m, d in table[j][o]:
             free = machine_free[m]
-            end = (free if free > ready else ready) + d
-            # Machines ascend, so keeping the first of equal (end, d) pairs
-            # breaks the remaining tie toward the lower machine id.
-            if best_m < 0 or end < best_end or (end == best_end and d < best_d):
-                best_m, best_end, best_d = m, end, d
+            if free > ready:
+                end = free + d
+                if best_end < 0 or end < best_end:
+                    best_m, best_end, best_d = m, end, d
+            else:
+                end = ready + d
+                if best_end < 0 or end < best_end:
+                    best_m, best_end, best_d = m, end, d
+                break
         if entries is not None:
             entries.append(ScheduleEntry(j, o, best_m, best_end - best_d, best_end))
         next_op[j] = o + 1
@@ -155,12 +171,12 @@ def _decode(table: list[list[list[tuple[int, int]]]], machine_count: int,
     return max(job_ready)
 
 
-def _crossover(p1: list[int], p2: list[int], jobs: set[int],
+def _crossover(p1: list[int], p2: list[int], job_count: int,
                rng: Random) -> list[int]:
     """Precedence-preserving job-subset crossover (POX)."""
-    keep = {j for j in jobs if rng.random() < 0.5}
-    filler = iter([g for g in p2 if g not in keep])
-    return [g if g in keep else next(filler) for g in p1]
+    keep = [rng.random() < 0.5 for _ in range(job_count)]
+    filler = iter([g for g in p2 if not keep[g]])
+    return [g if keep[g] else next(filler) for g in p1]
 
 
 def _mutate(chromosome: list[int], rng: Random):
@@ -173,7 +189,6 @@ def genetic(inst: Instance, cfg: BaselineConfig) -> Schedule:
     rng = Random(cfg.seed)
     table = _alternatives(inst)
     base = [j for j, job in enumerate(inst.jobs) for _ in range(len(job))]
-    jobs = set(base)
 
     def fresh() -> list[int]:
         c = list(base)
@@ -187,19 +202,19 @@ def genetic(inst: Instance, cfg: BaselineConfig) -> Schedule:
     best, best_makespan = scored[0]
     stale = 0
     for _ in range(cfg.generations):
-        children = []
+        pool = list(scored)
         for _ in range(cfg.population):
-            a = scored[rng.randrange(len(scored))][0]
+            a, a_makespan = scored[rng.randrange(len(scored))]
             if rng.random() < cfg.crossover_rate:
                 b = scored[rng.randrange(len(scored))][0]
-                child = _crossover(a, b, jobs, rng)
+                child = _crossover(a, b, inst.job_count, rng)
             else:
                 child = list(a)
             if rng.random() < cfg.mutation_rate:
                 _mutate(child, rng)
-            children.append(child)
-        pool = scored + [(c, _decode(table, inst.machine_count, c))
-                         for c in children]
+            # A copy of its first parent keeps the parent's makespan.
+            pool.append((child, a_makespan if child == a else
+                         _decode(table, inst.machine_count, child)))
         pool.sort(key=lambda cs: cs[1])
         scored = pool[:cfg.population]
         if scored[0][1] < best_makespan:

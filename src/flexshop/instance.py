@@ -1,7 +1,8 @@
 """Flexible job-shop instance model and the standard text format.
 
 The text format is the usual flexible job-shop convention: a header line
-``<jobs> <machines> [<avg machines per op>]`` followed by one line per job,
+``<jobs> <machines> [<avg machines per op>]`` (the optional average may be
+decimal, as in ``10 5 1.15``, and is ignored) followed by one line per job,
 
     <#ops> { <#alternatives> { <machine> <duration> }^#alternatives }^#ops
 
@@ -10,6 +11,7 @@ Machine ids are 1-based in files and 0-based internally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -106,9 +108,9 @@ class Instance:
         return sum(len(job) for job in self.jobs)
 
 
-def _ints(line: str, lineno: int) -> list[int]:
+def _ints(tokens: list[str], lineno: int) -> list[int]:
     out = []
-    for token in line.split():
+    for token in tokens:
         try:
             out.append(int(token))
         except ValueError:
@@ -128,12 +130,24 @@ def parse_instance(text: str, name: str = "instance") -> Instance:
         raise InstanceError("empty instance file")
 
     lineno, header = numbered[0]
-    head = _ints(header, lineno)
-    if len(head) not in (2, 3):
+    fields = header.split()
+    if len(fields) not in (2, 3):
         raise InstanceError(
-            f"header must hold 2 or 3 integers, got {len(head)}", lineno
+            f"header must hold 2 or 3 fields, got {len(fields)}", lineno
         )
-    job_count, machine_count = head[0], head[1]  # optional third int ignored
+    job_count, machine_count = _ints(fields[:2], lineno)
+    # The optional third field, the average machines per operation, is
+    # checked and then ignored.
+    if len(fields) == 3:
+        try:
+            average = float(fields[2])
+        except ValueError:
+            average = math.nan
+        if not (math.isfinite(average) and average >= 0):
+            raise InstanceError(
+                "machines per operation must be a finite non-negative "
+                f"number, got {fields[2]!r}", lineno
+            )
     if job_count < 1 or machine_count < 1:
         raise InstanceError("job and machine counts must be >= 1", lineno)
     if len(numbered) - 1 > job_count:
@@ -148,7 +162,7 @@ def parse_instance(text: str, name: str = "instance") -> Instance:
 
     jobs = []
     for lineno, line in numbered[1:]:
-        tokens = _ints(line, lineno)
+        tokens = _ints(line.split(), lineno)
         pos = 0
 
         def take(what: str) -> int:

@@ -53,6 +53,74 @@ def reference_decode(inst: Instance, chromosome: list[int]) -> Schedule:
     return Schedule.from_entries(entries)
 
 
+def reference_genetic(inst: Instance, cfg: BaselineConfig) -> Schedule:
+    """The GA before its shortcuts: set-based POX, a decoder that scans every
+    alternative in machine order, and every child decoded."""
+    table = [[sorted(op.alternatives.items()) for op in job.operations]
+             for job in inst.jobs]
+
+    def decode(chromosome, entries=None):
+        next_op = [0] * inst.job_count
+        job_ready = [0] * inst.job_count
+        machine_free = [0] * inst.machine_count
+        for j in chromosome:
+            o = next_op[j]
+            ready = job_ready[j]
+            best_m = -1
+            for m, d in table[j][o]:
+                end = max(machine_free[m], ready) + d
+                if best_m < 0 or end < best_end or (end == best_end and d < best_d):
+                    best_m, best_end, best_d = m, end, d
+            if entries is not None:
+                entries.append(ScheduleEntry(j, o, best_m, best_end - best_d, best_end))
+            next_op[j] = o + 1
+            job_ready[j] = best_end
+            machine_free[best_m] = best_end
+        return max(job_ready)
+
+    def crossover(p1, p2):
+        keep = {j for j in jobs if rng.random() < 0.5}
+        filler = iter([g for g in p2 if g not in keep])
+        return [g if g in keep else next(filler) for g in p1]
+
+    rng = Random(cfg.seed)
+    base = [j for j, job in enumerate(inst.jobs) for _ in range(len(job))]
+    jobs = set(base)
+    population = []
+    for _ in range(cfg.population):
+        c = list(base)
+        rng.shuffle(c)
+        population.append(c)
+    scored = sorted(((c, decode(c)) for c in population), key=lambda cs: cs[1])
+    best, best_makespan = scored[0]
+    stale = 0
+    for _ in range(cfg.generations):
+        children = []
+        for _ in range(cfg.population):
+            a = scored[rng.randrange(len(scored))][0]
+            if rng.random() < cfg.crossover_rate:
+                child = crossover(a, scored[rng.randrange(len(scored))][0])
+            else:
+                child = list(a)
+            if rng.random() < cfg.mutation_rate:
+                i, k = rng.randrange(len(child)), rng.randrange(len(child))
+                child[i], child[k] = child[k], child[i]
+            children.append(child)
+        pool = scored + [(c, decode(c)) for c in children]
+        pool.sort(key=lambda cs: cs[1])
+        scored = pool[:cfg.population]
+        if scored[0][1] < best_makespan:
+            best, best_makespan = scored[0]
+            stale = 0
+        else:
+            stale += 1
+            if stale >= cfg.stagnation:
+                break
+    entries = []
+    decode(best, entries)
+    return Schedule.from_entries(entries)
+
+
 def reference_dispatch(inst: Instance, priority) -> Schedule:
     """Dispatch loop whose `priority(env, job)` tuple is recomputed from the
     environment's state for every candidate at every state."""
@@ -272,6 +340,27 @@ class TestGenetic:
         assert _decode(table, inst.machine_count, chromosome, entries) \
             == reference.makespan
         assert Schedule.from_entries(entries) == reference
+
+    @given(instances())
+    @settings(max_examples=100, deadline=None)
+    def test_alternatives_shortest_first(self, inst):
+        for job, rows in zip(inst.jobs, _alternatives(inst)):
+            for op, row in zip(job.operations, rows):
+                assert sorted(row) == sorted(op.alternatives.items())
+                assert row == sorted(row, key=lambda md: (md[1], md[0]))
+
+    @given(instances(), st.integers(1, 8), st.integers(1, 15),
+           st.integers(1, 5), st.sampled_from([0, 0.5, 1]),
+           st.sampled_from([0, 0.5, 1]), st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_genetic(self, inst, population, generations,
+                                       stagnation, crossover_rate,
+                                       mutation_rate, seed):
+        cfg = BaselineConfig(seed=seed, population=population,
+                             generations=generations, stagnation=stagnation,
+                             crossover_rate=crossover_rate,
+                             mutation_rate=mutation_rate)
+        assert genetic(inst, cfg) == reference_genetic(inst, cfg)
 
     def test_one_by_one(self, one_by_one):
         assert genetic(one_by_one, BaselineConfig(generations=2)).makespan == 5

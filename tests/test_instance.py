@@ -35,6 +35,17 @@ class TestParse:
         inst = parse_instance("1 2 1\n1 1 1 5\n")
         assert inst.machine_count == 2
 
+    def test_decimal_third_header_field_ignored(self):
+        inst = parse_instance("2 2 1.5\n1 2 1 3 2 4\n1 1 2 5\n")
+        assert inst.machine_count == 2
+        assert inst == parse_instance("2 2\n1 2 1 3 2 4\n1 1 2 5\n")
+
+    @pytest.mark.parametrize("average", ["x", "1.5x", "nan", "inf", "-inf",
+                                         "1e999", "-1", "-0.5"])
+    def test_bad_third_header_field_names_line_1(self, average):
+        with pytest.raises(InstanceError, match="^line 1: machines per operation"):
+            parse_instance(f"2 2 {average}\n1 2 1 3 2 4\n1 1 2 5\n")
+
     def test_token_underrun_names_line(self):
         with pytest.raises(InstanceError, match="line 2"):
             parse_instance("1 2\n2 2 1 10\n")
