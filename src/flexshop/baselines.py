@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .environment import IDLE, SchedulingEnv, WAIT
-from .instance import DURATION_MODES, Instance
+from .instance import DURATION_MODES, DurationMode, Instance
 from .schedule import Schedule, ScheduleEntry
 
 
@@ -23,7 +23,7 @@ class BaselineConfig:
     mutation_rate: float = 0.2
     stagnation: int = 40
     node_budget: int = 2_000_000  # oracle
-    duration_mode: str = "mean"   # mwkr: mean | min | max
+    duration_mode: DurationMode = DurationMode.MEAN  # mwkr
 
     def __post_init__(self):
         if min(self.episodes, self.population, self.generations,
@@ -32,8 +32,7 @@ class BaselineConfig:
         for rate in (self.crossover_rate, self.mutation_rate):
             if not 0 <= rate <= 1:
                 raise ValueError("rates must be in [0, 1]")
-        if self.duration_mode not in DURATION_MODES:
-            raise ValueError(f"unknown duration_mode {self.duration_mode!r}")
+        self.duration_mode = DurationMode(self.duration_mode)
 
 
 class NodeBudgetExceeded(RuntimeError):
@@ -114,9 +113,7 @@ def _remaining_work(inst: Instance, duration) -> list[list]:
 def mwkr(inst: Instance, duration_mode: str = "mean") -> Schedule:
     """Most work remaining first: sum of durations of the operations still
     to run, current operation included."""
-    if duration_mode not in DURATION_MODES:
-        raise ValueError(f"unknown duration_mode {duration_mode!r}")
-    remaining = _remaining_work(inst, DURATION_MODES[duration_mode])
+    remaining = _remaining_work(inst, DURATION_MODES[DurationMode(duration_mode)])
     # Scaled by the lcm of the denominators, the mean's Fractions become
     # ints in the same exact order, and ints compare faster.
     scale = math.lcm(*(w.denominator for row in remaining for w in row))
@@ -293,7 +290,7 @@ def exhaustive_oracle(inst: Instance, cfg: BaselineConfig | None = None
     cfg.node_budget nodes; intended for tiny instances only.
     """
     cfg = cfg or BaselineConfig()
-    min_remaining = _remaining_work(inst, DURATION_MODES["min"])
+    min_remaining = _remaining_work(inst, DURATION_MODES[DurationMode.MIN])
     pinned = _pinned_work(inst)
     # A dispatching-rule schedule seeds the incumbent upper bound.
     best = mwkr(inst)

@@ -139,7 +139,18 @@ def common_solver_flags(f):
     return f
 
 
-@click.group()
+class _Main(click.Group):
+    """Click's own usage errors (a flag value its type rejects, a missing
+    option) print as one `Error:` line too, without the usage lines."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            raise InputError(exc.format_message()) from None
+
+
+@click.group(cls=_Main)
 def main():
     """Flexible job-shop scheduling toolkit."""
 

@@ -1,7 +1,7 @@
 """Instance division: split, solve incrementally, fix earlier-stage policy.
 
-An instance is split per job into contiguous operation segments, either by
-operation count or by expected duration.  Stage k solves the combination of
+An instance is split per job into contiguous operation segments, by operation
+count or by mean or max duration.  Stage k solves the combination of
 segments 1..k while forcing every operation from earlier segments onto the
 machine the previous stage chose, preserving the per-machine relative order
 of those operations.  Timing is left free so new operations can interleave.
@@ -16,14 +16,15 @@ from enum import Enum
 from fractions import Fraction
 
 from .environment import MachineOrder, SchedulingEnv
-from .instance import DURATION_MODES, Instance, JobSpec
+from .instance import DURATION_MODES, DurationMode, Instance, JobSpec
 from .qlearning import LearnerConfig, TrainingReport, train
 from .schedule import Schedule
 
 
 class SplitStrategy(str, Enum):
     BY_OP_COUNT = "ops"
-    BY_MEAN_DURATION = "duration"
+    BY_MEAN_DURATION = "mean"
+    BY_MAX_DURATION = "max"
 
 
 @dataclass(frozen=True)
@@ -41,16 +42,12 @@ class DivisionConfig(LearnerConfig):
 
     parts: int = 2
     strategy: SplitStrategy = SplitStrategy.BY_MEAN_DURATION
-    duration_mode: str = "mean"  # BY_MEAN_DURATION's expectation: mean | max
 
     def __post_init__(self):
         super().__post_init__()
         if self.parts < 2:
             raise ValueError(f"parts must be at least 2, got {self.parts}")
         self.strategy = SplitStrategy(self.strategy)
-        if self.duration_mode not in DURATION_MODES.keys() - {"min"}:
-            raise ValueError(
-                f"duration_mode must be mean or max, got {self.duration_mode!r}")
 
 
 def split(inst: Instance, cfg: DivisionConfig) -> SplitPlan:
@@ -58,19 +55,18 @@ def split(inst: Instance, cfg: DivisionConfig) -> SplitPlan:
 
     Each operation goes to the segment where its start on the job's weight
     timeline (the cumulative weight of its predecessors) falls, with the
-    timeline cut into `parts` equal pieces.  BY_MEAN_DURATION weighs an
-    operation by its expected duration; BY_OP_COUNT weighs each operation
-    1, which makes segments as even as possible in operation count (larger
-    segments first).  Either way the first segment of every job holds at
-    least one operation; later segments may be empty.
+    timeline cut into `parts` equal pieces.  The strategy's weight is an
+    operation's mean or max duration, or 1 for BY_OP_COUNT, which makes
+    segments as even as possible in operation count (larger segments
+    first).  Either way the first segment of every job holds at least one
+    operation; later segments may be empty.
     """
     parts = cfg.parts
     max_ops = max(len(job) for job in inst.jobs)
     if parts > max_ops:
         raise ValueError(f"parts must be in 2..{max_ops}, got {parts}")
-    weight = (DURATION_MODES[cfg.duration_mode]
-              if cfg.strategy == SplitStrategy.BY_MEAN_DURATION
-              else lambda op: 1)
+    weight = (DURATION_MODES[DurationMode(cfg.strategy.value)]
+              if cfg.strategy != SplitStrategy.BY_OP_COUNT else lambda op: 1)
 
     boundaries = []
     for job in inst.jobs:

@@ -92,6 +92,13 @@ class SchedulingEnv:
                         and 0 <= machine < instance.machine_count):
                     raise ValueError(f"machine order key {machine!r} is not a "
                                      f"machine of {instance.name}")
+                order = tuple(order)
+                for entry in order:
+                    if not (isinstance(entry, tuple | list) and len(entry) == 2
+                            and all(isinstance(i, int) for i in entry)):
+                        raise ValueError(
+                            f"machine order entry {entry!r} on machine "
+                            f"{machine} is not a (job, op) pair of ints")
                 order = tuple((job, op) for job, op in order)
                 for before, (job, op) in zip((None,) + order, order):
                     if not (0 <= job < instance.job_count

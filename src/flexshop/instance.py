@@ -12,7 +12,8 @@ Machine ids are 1-based in files and 0-based internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,10 +59,16 @@ class OperationSpec:
         return max(self.alternatives.values())
 
 
-# Duration mode name -> how one operation's duration is summarised.
-DURATION_MODES = {"mean": OperationSpec.mean_duration,
-                  "min": OperationSpec.min_duration,
-                  "max": OperationSpec.max_duration}
+class DurationMode(str, Enum):
+    MEAN = "mean"
+    MIN = "min"
+    MAX = "max"
+
+
+# Duration mode -> how one operation's duration is summarised.
+DURATION_MODES = {DurationMode.MEAN: OperationSpec.mean_duration,
+                  DurationMode.MIN: OperationSpec.min_duration,
+                  DurationMode.MAX: OperationSpec.max_duration}
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass
-from math import copysign
+from math import copysign, inf
 from random import Random
 
 from .environment import SchedulingEnv, SchedulingError
@@ -116,6 +116,9 @@ class LearnerConfig:
             raise ValueError("epsilon_decay must be in (0, 1]")
         if self.episodes < 1 or self.test_interval < 1:
             raise ValueError("episodes and test_interval must be positive")
+        if self.time_budget is not None and not 0 < self.time_budget < inf:
+            raise ValueError("time_budget must be None or a finite positive "
+                             f"number of seconds, got {self.time_budget!r}")
 
 
 @dataclass

@@ -162,10 +162,15 @@ SOLVERS: dict[str, tuple[type[BaseSolver], dict]] = {
 
 def make_solver(name: str, **overrides) -> BaseSolver:
     """Build a solver by registry name from the non-None overrides it
-    takes; the name's fixed params win over overrides."""
+    takes; an override that contradicts the name's fixed params is a
+    `ValueError`."""
     if name not in SOLVERS:
         raise ValueError(f"unknown solver {name!r}; have {sorted(SOLVERS)}")
     cls, fixed = SOLVERS[name]
     params = {k: v for k, v in overrides.items()
               if k in cls.params and v is not None}
+    for k, v in fixed.items():
+        if params.get(k, v) != v:
+            raise ValueError(f"{k}={params[k]!r} contradicts {name}'s fixed "
+                             f"{k}={v!r}")
     return cls(**{**params, **fixed})

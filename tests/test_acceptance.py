@@ -162,7 +162,7 @@ def test_criterion_4_prepopulation_speedup():
 # -- 5: instance division -------------------------------------------------
 
 def test_criterion_5_division():
-    """Dividing flex06 into 2 parts (both strategies) yields a valid schedule
+    """Dividing flex06 into 2 parts (every strategy) yields a valid schedule
     within 15% of the undivided RL makespan, and every stage-1 machine
     choice is preserved exactly in the final schedule."""
     from flexshop.data import load_bundled

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from flexshop.cli import main, solve
 from flexshop.data import bundled_path
-from flexshop.division import SplitStrategy
+from enum import Enum
 from flexshop.schedule import parse_schedule, validate_schedule
 from flexshop.instance import load_instance, write_instance
 from flexshop.solvers import SOLVERS
@@ -168,10 +168,16 @@ class TestSolverFlags:
             hints = typing.get_type_hints(cls.config_type)
             for name in cls.params:
                 assert seen.setdefault(name, hints[name]) == hints[name], name
-        for name in ("seed", "episodes", "duration_mode"):
-            owners = {cls.config_type for cls, _ in SOLVERS.values()
-                      if name in cls.params}
-            assert len(owners) >= 2, name
+        # Field name -> the config classes that declare it (a subclass
+        # such as DivisionConfig inherits, and does not declare, its base's).
+        owners = {}
+        for cls, _ in SOLVERS.values():
+            for name in cls.params:
+                owners.setdefault(name, set()).add(next(
+                    base for base in cls.config_type.__mro__
+                    if name in vars(base).get("__annotations__", {})))
+        shared = {name for name, types in owners.items() if len(types) >= 2}
+        assert shared == {"seed", "episodes"}
 
     def test_help_lists_one_flag_per_field(self, runner):
         result = runner.invoke(main, ["solve", "--help"])
@@ -184,10 +190,15 @@ class TestSolverFlags:
         assert sorted(destinations) == sorted(fields)
 
     def test_every_field_is_a_config_key(self, runner, toy_path, tmp_path):
-        values = {int: "3", float: "0.5", bool: "false", str: "max",
-                  float | None: "30", SplitStrategy: "ops"}
+        values = {int: "3", float: "0.5", bool: "false", float | None: "30"}
+
+        def value(hint):
+            if isinstance(hint, type) and issubclass(hint, Enum):
+                return list(hint)[-1].value
+            return values[hint]
+
         cfg = tmp_path / "all.cfg"
-        cfg.write_text("".join(f"{name} = {values[hint]}\n"
+        cfg.write_text("".join(f"{name} = {value(hint)}\n"
                                for name, hint in solver_fields().items()))
         result = runner.invoke(main, [
             "solve", "--instance", toy_path, "--solver", "fifo",
@@ -235,13 +246,21 @@ BAD_INPUTS = {
                            {}, None),
     "stagnation-zero": ([*SOLVE, "--solver", "ga", "--stagnation", "0"],
                         {}, None),
-    "duration-mode-min-for-division": ([*SOLVE, "--solver", "rl-divided",
-                                        "--duration-mode", "min"], {}, None),
+    "divide-strategy-duration": ([*SOLVE, "--solver", "rl-divided",
+                                  "--divide-strategy", "duration"], {}, None),
+    "duration-mode-median": ([*SOLVE, "--solver", "mwkr",
+                              "--duration-mode", "median"], {}, None),
+    "budget-seconds-negative": ([*SOLVE, "--solver", "rl",
+                                 "--budget-seconds", "-1"], {}, None),
+    "budget-seconds-nan": ([*SOLVE, "--solver", "rl",
+                            "--budget-seconds", "nan"], {}, None),
+    "rl-plain-prepopulate": ([*SOLVE, "--solver", "rl-plain",
+                              "--prepopulate"], {}, None),
     # Every solver is built and every instance loaded before any cell
     # runs, so the valid cells write nothing either.
     "solve-rejected-after-valid-solver": ([*SOLVE, "--solver", "mwkr",
                                            "--solver", "rl-divided",
-                                           "--duration-mode", "min"], {}, None),
+                                           "--divide", "1"], {}, None),
     "solve-missing-second-instance": ([*SOLVE, "--instance",
                                        "{tmp}/missing.fjs", "--solver", "fifo"],
                                       {}, None),
@@ -298,6 +317,15 @@ class TestBench:
         csv_text = (tmp_path / "table.csv").read_text()
         assert csv_text.splitlines()[0].startswith("instance,size,fifo")
         assert "toy2x3,2x3" in csv_text
+
+    def test_duration_mode_only_reaches_mwkr(self, runner, toy_path):
+        # rl-divided takes no duration mode, so mwkr's `min` leaves it be.
+        result = runner.invoke(main, [
+            "bench", "--instance", toy_path, "--solver", "mwkr",
+            "--solver", "rl-divided", "--duration-mode", "min",
+            "--episodes", "50",
+        ])
+        assert result.exit_code == 0, result.output
 
     def test_na_and_exit_1_on_budget(self, runner, tmp_path):
         result = runner.invoke(main, [

@@ -1,5 +1,6 @@
 """Instance division: splitting, combining, and constrained solving."""
 
+import re
 from fractions import Fraction
 from random import Random
 
@@ -17,7 +18,7 @@ from flexshop.division import (
     split,
 )
 from flexshop.environment import WAIT, SchedulingEnv
-from flexshop.instance import DURATION_MODES, parse_instance
+from flexshop.instance import OperationSpec, parse_instance
 from flexshop.qlearning import LearnerConfig
 from flexshop.schedule import validate_schedule
 
@@ -71,29 +72,38 @@ def order_is_runnable(inst, order) -> bool:
     return all(job_op[j] == len(job) for j, job in enumerate(inst.jobs))
 
 
-def reference_boundaries(inst, cfg):
-    """The closed forms `split` replaced: ceil(k·n/parts) cuts by operation
-    count, or each op bucketed by its expected start."""
-    expected = DURATION_MODES[cfg.duration_mode]
+def reference_boundaries(inst, parts, strategy, duration_mode):
+    """The closed forms `split` replaced, in the earlier (strategy,
+    duration_mode) form: ceil(k·n/parts) cuts by operation count
+    ("ops"), or each op bucketed by its expected start ("duration", with
+    the mean or max as the expectation)."""
+    expected = {"mean": OperationSpec.mean_duration,
+                "max": OperationSpec.max_duration}[duration_mode]
     boundaries = []
     for job in inst.jobs:
         n_ops = len(job)
-        if cfg.strategy == SplitStrategy.BY_OP_COUNT:
-            cuts = [0] + [-(-k * n_ops // cfg.parts)
-                          for k in range(1, cfg.parts)] + [n_ops]
+        if strategy == "ops":
+            cuts = [0] + [-(-k * n_ops // parts)
+                          for k in range(1, parts)] + [n_ops]
         else:
             durations = [expected(op) for op in job.operations]
             total = sum(durations, Fraction(0))
             seg_of_op = []
             cumulative = Fraction(0)
             for value in durations:
-                seg_of_op.append(min(cfg.parts - 1,
-                                     int(cumulative * cfg.parts / total)))
+                seg_of_op.append(min(parts - 1,
+                                     int(cumulative * parts / total)))
                 cumulative += value
             cuts = [sum(1 for s in seg_of_op if s < k)
-                    for k in range(cfg.parts + 1)]
+                    for k in range(parts + 1)]
         boundaries.append(tuple(cuts))
     return tuple(boundaries)
+
+
+# Each earlier (strategy, duration_mode) pair -> the strategy that now
+# splits the same way.
+OLD_PAIRS = {("ops", "mean"): "ops", ("ops", "max"): "ops",
+             ("duration", "mean"): "mean", ("duration", "max"): "max"}
 
 
 class TestSplit:
@@ -103,12 +113,10 @@ class TestSplit:
         inst = tiny_instance(seed, max_ops=6)
         max_ops = max(len(job) for job in inst.jobs)
         for parts in range(2, max_ops + 1):
-            for strategy in SplitStrategy:
-                for mode in ("mean", "max"):
-                    cfg = DivisionConfig(parts=parts, strategy=strategy,
-                                         duration_mode=mode)
-                    assert (split(inst, cfg).boundaries
-                            == reference_boundaries(inst, cfg))
+            for (old, mode), strategy in OLD_PAIRS.items():
+                cfg = DivisionConfig(parts=parts, strategy=strategy)
+                assert (split(inst, cfg).boundaries
+                        == reference_boundaries(inst, parts, old, mode))
 
     def test_toy_by_op_count(self, toy):
         plan = split(toy, divided(SplitStrategy.BY_OP_COUNT))
@@ -124,14 +132,22 @@ class TestSplit:
         # J2's first two ops in part 1 (44) and the last (20) in part 2.
         assert plan.boundaries == ((0, 2, 2), (0, 2, 3))
 
-    def test_duration_mode_is_mean_or_max(self, toy):
-        # Division splits on mean or max durations only; mwkr also takes min.
-        for mode in ("mean", "max"):
-            split(toy, DivisionConfig(duration_mode=mode))
+    def test_strategy_and_duration_mode_choices(self, toy):
+        # Division splits by op count or by mean or max durations; mwkr's
+        # duration mode also takes min.
+        for strategy in ("ops", "mean", "max"):
+            assert DivisionConfig(strategy=strategy).strategy == strategy
+            split(toy, DivisionConfig(strategy=strategy))
+        for strategy in ("min", "duration"):
+            with pytest.raises(ValueError):
+                DivisionConfig(strategy=strategy)
+        for mode in ("mean", "min", "max"):
+            assert BaselineConfig(duration_mode=mode).duration_mode == mode
+            assert validate_schedule(toy, mwkr(toy, mode)) == []
         with pytest.raises(ValueError):
-            DivisionConfig(duration_mode="min")
-        assert BaselineConfig(duration_mode="min").duration_mode == "min"
-        assert validate_schedule(toy, mwkr(toy, "min")) == []
+            BaselineConfig(duration_mode="median")
+        with pytest.raises(ValueError):
+            mwkr(toy, "median")
 
     def test_partition_property(self):
         for seed in range(20):
@@ -208,6 +224,14 @@ class TestConstrainedEnv:
     def test_constraint_outside_instance_rejected(self, inst, order, match):
         with pytest.raises(ValueError, match=match):
             SchedulingEnv(inst, order)
+
+    @pytest.mark.parametrize("entry", [(0,), ("0", 0), (0, 0.0), (0, 0, 0), 0],
+                             ids=["one-int", "string-job", "float-op",
+                                  "three-ints", "not-a-pair"])
+    def test_order_entry_not_a_pair_of_ints_rejected(self, entry):
+        with pytest.raises(ValueError,
+                           match=rf"entry {re.escape(repr(entry))} on machine 0"):
+            SchedulingEnv(ONE_OP, {0: ((0, 0), entry)})
 
     @pytest.mark.parametrize("as_sequence", [
         list, lambda ops: [list(op) for op in ops],

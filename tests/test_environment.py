@@ -181,7 +181,7 @@ class TestLegalAllocations:
         inst = tiny_instance(seed)
         assume(max(len(job) for job in inst.jobs) >= 2)
         rng = Random(walk_seed)
-        plan = split(inst, DivisionConfig(strategy="duration"))
+        plan = split(inst, DivisionConfig(strategy="mean"))
         stage1 = SchedulingEnv(combine(plan, 1))
         walk_checking_state(stage1, rng)
         constraint = machine_order(stage1.extract_schedule())

@@ -187,6 +187,12 @@ class TestUpdate:
         with pytest.raises(ValueError):
             LearnerConfig(epsilon_start=0.1, epsilon_min=0.5)
 
+    def test_time_budget_validation(self):
+        for budget in (-1, 0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="time_budget"):
+                LearnerConfig(time_budget=budget)
+        assert LearnerConfig(time_budget=0.5).time_budget == 0.5
+
 
 class TestTrain:
     def test_one_by_one(self, one_by_one):

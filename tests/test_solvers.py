@@ -113,6 +113,14 @@ class TestMakeSolver:
         solver = make_solver("rl-plain", episodes=10)
         assert solver.get_params()["prepopulate"] is False
 
+    def test_override_contradicting_fixed_param_rejected(self):
+        with pytest.raises(ValueError, match=r"prepopulate=True .*prepopulate=False"):
+            make_solver("rl-plain", prepopulate=True)
+
+    def test_override_agreeing_with_fixed_param_accepted(self):
+        solver = make_solver("rl-plain", prepopulate=False)
+        assert solver.get_params()["prepopulate"] is False
+
     def test_overrides_filtered_per_solver(self):
         # episodes applies to rl but not to fifo; fifo should ignore it.
         solver = make_solver("fifo", episodes=123)
@@ -121,7 +129,7 @@ class TestMakeSolver:
     def test_divided_params_extend_learner_params(self):
         params = make_solver("rl-divided").get_params()
         assert list(params) == [*QLearningSolver().get_params(),
-                                "parts", "strategy", "duration_mode"]
+                                "parts", "strategy"]
 
     def test_divided_solver(self, toy):
         solver = DividedQLearningSolver(parts=2, strategy=SplitStrategy.BY_OP_COUNT,
