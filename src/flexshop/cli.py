@@ -141,13 +141,15 @@ def common_solver_flags(f):
 
 class _Main(click.Group):
     """Click's own usage errors (a flag value its type rejects, a missing
-    option) print as one `Error:` line too, without the usage lines."""
+    option) print as one `Error:` line too, without the usage lines; a
+    missing `Choice` option's choices, one per line in click's message,
+    are joined onto it."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except click.UsageError as exc:
-            raise InputError(exc.format_message()) from None
+            raise InputError(" ".join(exc.format_message().split())) from None
 
 
 @click.group(cls=_Main)

@@ -43,18 +43,17 @@ class SchedulingEnv:
 
     Construction builds per-(job, op) tables: the capable machines
     ascending, their bitmask and machine -> duration.  Besides the public
-    per-job and per-machine arrays, the state keeps one counter, one mask
-    and two caches so that no query rescans the whole state:
-    ``_unfinished`` (jobs with operations left, so ``done`` is a test for
-    0), ``_free`` (bit m set while machine m is idle, so an idle job can
-    start iff its current operation's mask meets it), ``_options`` (the
-    per-job assignable machines) and ``_legal`` (the legal allocations).
-    The skip loop asks the masks whether any job can start, so option
-    lists are built once per state the agent sees.  Both caches are
-    ``None`` until first needed after each state change, except that
-    ``reset`` restores ``_legal`` from ``_root_legal``, the reset state's
-    list, kept once enumerated.  Assignments are logged as plain tuples
-    in ``_log``; ``entries`` builds the `ScheduleEntry` objects on demand.
+    per-job and per-machine arrays, the state keeps ``_unfinished`` (jobs
+    with operations left, so ``done`` is a test for 0), ``_free`` (bit m
+    set while machine m is idle, so an idle job can start iff its current
+    operation's mask meets it) and one cache, ``_legal`` (the legal
+    allocations, ``None`` until enumerated after each state change): the
+    learner's `step` rereads it, and oracle children share it through
+    `clone`.  ``reset`` restores it from ``_root_legal``, the reset
+    state's list, since on la05 that enumeration (191 allocations, about
+    165 us) is about a fifth of a training episode.  Assignments are
+    logged as plain tuples in ``_log``; ``entries`` builds the
+    `ScheduleEntry` objects on demand.
     """
 
     def __init__(self, instance: Instance,
@@ -141,13 +140,12 @@ class SchedulingEnv:
         self._log: list[tuple[int, int, int, int, int]] = []
         self._unfinished = inst.job_count
         self._free = self._all_free
-        self._options: list[list[int]] | None = None
         self._legal = self._root_legal
         return self.observation()
 
     def clone(self) -> "SchedulingEnv":
         other = self.__class__.__new__(self.__class__)
-        # Tables, scalars and both caches are shared: the caches are
+        # Tables, scalars and the legal list are shared: the list is
         # replaced, never mutated.  The mutable arrays are copied.
         other.__dict__.update(self.__dict__)
         other.job_op = list(self.job_op)
@@ -171,25 +169,22 @@ class SchedulingEnv:
 
     def _assignable(self) -> list[list[int]]:
         """Per job, the free machines able to run its current operation,
-        ascending id; empty for busy and finished jobs.  Cached per state."""
-        options = self._options
-        if options is None:
-            free = self._free
-            options = [
-                [m for m in ops[op] if free >> m & 1]
-                if machine == IDLE and masks[op] & free else []
-                for ops, masks, op, machine in zip(
-                    self._op_machines, self._op_masks, self.job_op,
-                    self.job_machine)
-            ]
-            before = self._before
-            if before is not None:
-                job_op = self.job_op
-                for job, op in enumerate(job_op):
-                    pred = before[job][op]
-                    if pred is not None and job_op[pred[0]] <= pred[1]:
-                        options[job] = []
-            self._options = options
+        ascending id; empty for busy and finished jobs."""
+        free = self._free
+        options = [
+            [m for m in ops[op] if free >> m & 1]
+            if machine == IDLE and masks[op] & free else []
+            for ops, masks, op, machine in zip(
+                self._op_machines, self._op_masks, self.job_op,
+                self.job_machine)
+        ]
+        before = self._before
+        if before is not None:
+            job_op = self.job_op
+            for job, op in enumerate(job_op):
+                pred = before[job][op]
+                if pred is not None and job_op[pred[0]] <= pred[1]:
+                    options[job] = []
         return options
 
     def _can_start(self) -> bool:
@@ -277,6 +272,9 @@ class SchedulingEnv:
         options = self._assignable()
         used: set[int] = set()
         for job, machine in enumerate(allocation):
+            if type(machine) is not int:  # 0.0 == 0 and True == 1
+                raise SchedulingError(
+                    f"job {job}: allocation entry {machine!r} is not an int")
             if machine == WAIT:
                 continue
             if machine in used:
@@ -310,7 +308,7 @@ class SchedulingEnv:
                 log.append((job, op, machine, clock, clock + duration))
         force_advance = free == self._free  # a pure wait
         self._free = free
-        self._options = self._legal = None
+        self._legal = None
 
         # Skip intermediate states: advance to assignment completions until a
         # non-wait action exists or the episode ends.  A pure-wait action

@@ -22,7 +22,6 @@ class InstanceError(ValueError):
     """Raised for malformed instance text or inconsistent instance data."""
 
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

@@ -228,6 +228,7 @@ class TestSolverFlags:
 # All are user errors: exit 2 with a one-line message and no file written.
 SOLVE = ["solve", "--instance", "{toy}", "--out", "{tmp}"]
 CONFIG = ["--config", "{tmp}/c.cfg"]
+STDIN = ["solve", "--instance", "-", "--out", "{tmp}", "--solver", "fifo"]
 BAD_INPUTS = {
     "config-seed-not-int": ([*SOLVE, "--solver", "rl", *CONFIG],
                             {"c.cfg": "seed = abc\n"}, None),
@@ -267,8 +268,13 @@ BAD_INPUTS = {
     "config-duration-mode-unknown": ([*SOLVE, "--solver", "mwkr", *CONFIG],
                                      {"c.cfg": "duration_mode = median\n"},
                                      None),
-    "stdin-malformed-instance": (["solve", "--instance", "-", "--out", "{tmp}",
-                                  "--solver", "fifo"], {}, "1 1\n1 1 1 0\n"),
+    "solve-missing-solver": (SOLVE, {}, None),
+    "stdin-malformed-instance": (STDIN, {}, "1 1\n1 1 1 0\n"),
+    "stdin-no-jobs": (STDIN, {}, "0 1\n"),
+    "stdin-job-without-operations": (STDIN, {}, "1 1\n0\n"),
+    "stdin-operation-without-alternatives": (STDIN, {}, "1 1\n1 0\n"),
+    "config-not-utf8": ([*SOLVE, "--solver", "fifo", *CONFIG],
+                        {"c.cfg": b"seed = \xff\n"}, None),
     "validate-missing-schedule": (["validate", "{toy}", "{tmp}/missing.sched"],
                                   {}, None),
     "validate-unreadable-schedule": (["validate", "{toy}", "{tmp}"], {}, None),
@@ -278,6 +284,13 @@ BAD_INPUTS = {
                                     {"b.sched": "not a schedule\n"}, None),
     "validate-negative-time": (["validate", "{toy}", "{tmp}/b.sched"],
                                {"b.sched": "0 0 0 -10 -2\n"}, None),
+    "validate-bare-makespan-trailer": (["validate", "{toy}", "{tmp}/b.sched"],
+                                       {"b.sched": "0 0 0 0 2\nmakespan\n"},
+                                       None),
+    "validate-non-integer-field": (["validate", "{toy}", "{tmp}/b.sched"],
+                                   {"b.sched": "0 0 0 0 x\n"}, None),
+    "validate-only-trailer": (["validate", "{toy}", "{tmp}/b.sched"],
+                              {"b.sched": "makespan 5\n"}, None),
 }
 
 

@@ -238,6 +238,28 @@ class TestStep:
         with pytest.raises(SchedulingError):
             env.step(0)
 
+    # Job 0 runs on machine 0 or 1, job 1 on machine 1 only.
+    @pytest.mark.parametrize("before, allocation, message", [
+        ([(0, 1)], (0, 1), "terminal"),
+        ([], (0,), "length"),
+        ([], (1, 1), "machine 1 assigned twice"),
+        ([], (WAIT, 0), "job 1 cannot be assigned machine 0"),
+        ([], (WAIT, WAIT), "pure wait"),
+        ([], (0.0, WAIT), "job 0: allocation entry 0.0 is not an int"),
+        ([], (True, WAIT), "job 0: allocation entry True is not an int"),
+        ([(0, WAIT)], (-1.0, 1), "job 0: allocation entry -1.0"),
+    ], ids=["terminal", "length", "twice", "not-assignable", "pure-wait",
+            "float", "bool", "float-wait"])
+    def test_step_allocation_rejects_before_mutating(self, before, allocation,
+                                                     message):
+        env = SchedulingEnv(parse_instance("2 2\n1 2 1 5 2 3\n1 1 2 4\n"))
+        for allocation_before in before:
+            env.step_allocation(allocation_before)
+        state = (env.observation(), env.clock, env._free, env.entries)
+        with pytest.raises(SchedulingError, match=message):
+            env.step_allocation(allocation)
+        assert (env.observation(), env.clock, env._free, env.entries) == state
+
     def test_determinism(self, toy):
         results = []
         for _ in range(2):
