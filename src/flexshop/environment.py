@@ -12,6 +12,7 @@ cumulative episode reward exactly minus the makespan.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
 from graphlib import CycleError, TopologicalSorter
 from typing import NamedTuple
@@ -32,7 +33,7 @@ class SchedulingError(RuntimeError):
 
 
 class StepResult(NamedTuple):
-    observation: tuple[int, ...]
+    observation: bytes
     reward: int
     done: bool
     clock: int
@@ -54,6 +55,11 @@ class SchedulingEnv:
     165 us) is about a fifth of a training episode.  Assignments are
     logged as plain tuples in ``_log``; ``entries`` builds the
     `ScheduleEntry` objects on demand.
+
+    ``job_op`` and ``job_machine`` are ``array``s, so `observation` packs
+    them with one ``tobytes``.  Their typecode is ``"b"`` (signed byte,
+    which holds ``IDLE``) while the machine count and every job's operation
+    count are below 128, and ``"q"`` otherwise.
     """
 
     def __init__(self, instance: Instance,
@@ -86,6 +92,7 @@ class SchedulingEnv:
                 for job, row in enumerate(op_machines)
                 for op in range(1, len(row) - 1)
             })
+            listed: dict[tuple[int, int], int] = {}  # (job, op) -> machine
             for machine, order in machine_order.items():
                 if not (isinstance(machine, int)
                         and 0 <= machine < instance.machine_count):
@@ -104,6 +111,11 @@ class SchedulingEnv:
                             and 0 <= op < len(instance.jobs[job])):
                         raise ValueError(f"constraint names op ({job}, {op}) "
                                          f"outside {instance.name}")
+                    other = listed.setdefault((job, op), machine)
+                    if other != machine:
+                        raise ValueError(
+                            f"constraint lists op ({job}, {op}) on machines "
+                            f"{other} and {machine}")
                     if machine not in op_machines[job][op]:
                         raise ValueError(
                             f"constraint puts op ({job}, {op}) on machine "
@@ -122,6 +134,8 @@ class SchedulingEnv:
             tuple(sum(1 << m for m in ms) for ms in row) for row in op_machines
         )
         self._all_free = (1 << instance.machine_count) - 1
+        self._typecode = "b" if max(instance.machine_count,
+                                    *map(len, instance.jobs)) < 128 else "q"
         # Every episode starts in the same state, so its legal allocations
         # are enumerated once and kept; reset() reuses them.
         self._root_legal: list[Allocation] | None = None
@@ -129,11 +143,14 @@ class SchedulingEnv:
 
     # -- episode state ----------------------------------------------------
 
-    def reset(self) -> tuple[int, ...]:
+    def reset(self) -> bytes:
         inst = self.instance
         self.clock = 0
-        self.job_op = [0] * inst.job_count          # current operation index
-        self.job_machine = [IDLE] * inst.job_count  # assigned machine or IDLE
+        code = self._typecode
+        # Per job: the current operation index, and the assigned machine or
+        # IDLE.
+        self.job_op = array(code, [0]) * inst.job_count
+        self.job_machine = array(code, [IDLE]) * inst.job_count
         self.machine_job = [IDLE] * inst.machine_count
         self.machine_remaining = [0] * inst.machine_count
         # (job, op, machine, start, end) per assignment, in order.
@@ -148,8 +165,8 @@ class SchedulingEnv:
         # Tables, scalars and the legal list are shared: the list is
         # replaced, never mutated.  The mutable arrays are copied.
         other.__dict__.update(self.__dict__)
-        other.job_op = list(self.job_op)
-        other.job_machine = list(self.job_machine)
+        other.job_op = self.job_op[:]
+        other.job_machine = self.job_machine[:]
         other.machine_job = list(self.machine_job)
         other.machine_remaining = list(self.machine_remaining)
         other._log = list(self._log)
@@ -159,11 +176,12 @@ class SchedulingEnv:
     def done(self) -> bool:
         return self._unfinished == 0
 
-    def observation(self) -> tuple[int, ...]:
+    def observation(self) -> bytes:
         """Per-job machine assignment (IDLE = -1), then per-job current
-        operation index (a finished job's equals its operation count); the
-        Q-table key."""
-        return tuple(self.job_machine + self.job_op)
+        operation index (a finished job's equals its operation count),
+        packed in ``job_op.typecode``; the Q-table key.
+        ``array(env.job_op.typecode, obs).tolist()`` unpacks it."""
+        return (self.job_machine + self.job_op).tobytes()
 
     # -- legal allocations ------------------------------------------------
 

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 @dataclass
 class EpisodeTrace:
-    """State-action pairs of one episode with their aligned rewards."""
+    """(Packed observation, action index) pairs of one episode with their
+    aligned rewards."""
 
-    pairs: list[tuple[tuple[int, ...], int]]
+    pairs: list[tuple[bytes, int]]
     rewards: list[int]
 
     def __post_init__(self):

@@ -28,26 +28,30 @@ class QTable:
     by action index, grown on `set` to the highest index stored.  A slot
     never set holds ``+0.0`` and a stored 0 is kept as ``-0.0``: both read
     as 0 to `get`, `max` and `index`, but `has` tells them apart.
+
+    Observations are the environment's packed ``bytes`` (any hashable key
+    works).  A ``bytes`` key caches its hash, so the several lookups of one
+    step hash it once.
     """
 
     def __init__(self):
-        self._rows: dict[tuple[int, ...], array] = {}
+        self._rows: dict[bytes, array] = {}
         self._stored = 0
 
     def __len__(self) -> int:
         """Number of stored (observation, action) pairs."""
         return self._stored
 
-    def has(self, obs: tuple[int, ...], action: int) -> bool:
+    def has(self, obs: bytes, action: int) -> bool:
         row = self._rows.get(obs)
         return row is not None and action < len(row) and _is_set(row[action])
 
-    def get(self, obs: tuple[int, ...], action: int) -> float:
+    def get(self, obs: bytes, action: int) -> float:
         row = self._rows.get(obs)
         # Adding +0.0 reads a stored -0.0 as 0.0.
         return row[action] + 0.0 if row is not None and action < len(row) else 0.0
 
-    def set(self, obs: tuple[int, ...], action: int, value: float):
+    def set(self, obs: bytes, action: int, value: float):
         row = self._rows.get(obs)
         if row is None:
             row = self._rows[obs] = array("d", bytes(8 * (action + 1)))
@@ -65,7 +69,7 @@ class QTable:
                 if _is_set(value):
                     yield (obs, action), value + 0.0
 
-    def max_value(self, obs: tuple[int, ...], action_count: int) -> float:
+    def max_value(self, obs: bytes, action_count: int) -> float:
         """Max over the first `action_count` actions; 0 when none stored."""
         row = self._rows.get(obs)
         if row is None or action_count == 0:
@@ -76,7 +80,7 @@ class QTable:
         # Slots past the row read 0.
         return best if action_count == len(row) else max(best, 0.0)
 
-    def argmax(self, obs: tuple[int, ...], action_count: int) -> int:
+    def argmax(self, obs: bytes, action_count: int) -> int:
         """Lowest index of the max over the first `action_count` actions."""
         row = self._rows.get(obs)
         if row is None or action_count <= 1:
@@ -133,7 +137,7 @@ class TrainingReport:
     final_epsilon: float
 
 
-def select_action(q: QTable, obs: tuple[int, ...], legal_count: int,
+def select_action(q: QTable, obs: bytes, legal_count: int,
                   epsilon: float, rng: Random) -> int:
     """Epsilon-greedy with deterministic lowest-index tie-breaking."""
     if legal_count < 1:
@@ -143,8 +147,8 @@ def select_action(q: QTable, obs: tuple[int, ...], legal_count: int,
     return q.argmax(obs, legal_count)
 
 
-def update(q: QTable, s: tuple[int, ...], a: int, r: int,
-           s_next: tuple[int, ...], next_legal_count: int, alpha: float):
+def update(q: QTable, s: bytes, a: int, r: int,
+           s_next: bytes, next_legal_count: int, alpha: float):
     """One-step temporal-difference update; terminal bootstrap is 0."""
     target = r + q.max_value(s_next, next_legal_count)
     value = q.get(s, a)
@@ -156,7 +160,7 @@ def _rollout(env: SchedulingEnv, q: QTable, epsilon: float, rng: Random,
     """One learning episode; returns (makespan, trace)."""
     obs = env.reset()
     count = len(env.legal_allocations())
-    pairs: list[tuple[tuple[int, ...], int]] = []
+    pairs: list[tuple[bytes, int]] = []
     rewards: list[int] = []
     done = False
     while not done:

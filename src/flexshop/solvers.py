@@ -71,16 +71,33 @@ class BaseSolver:
 
     def fit(self, inst: Instance) -> "BaseSolver":
         """Solve `inst` and keep the schedule as `best_schedule_` /
-        `best_makespan_`."""
+        `best_makespan_`.
+
+        The previous fit's estimated attributes are dropped before `_solve`
+        runs, so its Q-tables are freed before the new ones grow.  A solve
+        that raises or returns an invalid schedule leaves the solver
+        unfitted."""
         if not isinstance(inst, Instance):
             raise TypeError(f"expected Instance, got {type(inst).__name__}")
-        schedule = self._solve(inst)
-        violations = validate_schedule(inst, schedule)
-        if violations:  # solver bug guard; never expected to trigger
-            raise RuntimeError(f"solver produced invalid schedule: {violations}")
+        self._unfit()
+        try:
+            schedule = self._solve(inst)
+            violations = validate_schedule(inst, schedule)
+            if violations:  # solver bug guard; never expected to trigger
+                raise RuntimeError(
+                    f"solver produced invalid schedule: {violations}")
+        except BaseException:
+            self._unfit()
+            raise
         self.best_schedule_ = schedule
         self.best_makespan_ = schedule.makespan
         return self
+
+    def _unfit(self):
+        """Delete every estimated (trailing-underscore) attribute."""
+        for name in [n for n in vars(self)
+                     if n.endswith("_") and not n.endswith("__")]:
+            delattr(self, name)
 
     def _solve(self, inst: Instance) -> Schedule:
         raise NotImplementedError

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flexshop.baselines import BaselineConfig, mwkr
+from flexshop.data import load_bundled
 from flexshop.division import (
     DivisionConfig,
     SplitStrategy,
@@ -37,6 +38,7 @@ def divided(strategy, parts=2):
 CYCLIC = parse_instance("2 2\n2 1 1 3 1 2 3\n2 1 2 3 1 1 3\n")
 CYCLIC_ORDER = {0: ((1, 1), (0, 0)), 1: ((0, 1), (1, 0))}
 ONE_OP = parse_instance("1 2\n1 1 1 3\n")
+FLEX06 = load_bundled("flex06")
 
 
 def random_order(inst, rng):
@@ -219,8 +221,11 @@ class TestConstrainedEnv:
         # A JSON-loaded order has string keys; machine 0 can run the op.
         (ONE_OP, {"0": [[0, 0]]}, "key '0' is not a machine"),
         (ONE_OP, {2: ((0, 0),)}, "key 2 is not a machine"),
+        # flex06's op (0, 0) runs on M2 or M3, but not on both.
+        (FLEX06, {2: [(0, 0)], 3: [(0, 0)]},
+         r"op \(0, 0\) on machines 2 and 3"),
     ], ids=["op-outside", "machine-cannot-run", "cyclic", "listed-twice",
-            "string-key", "key-out-of-range"])
+            "string-key", "key-out-of-range", "listed-on-two-machines"])
     def test_constraint_outside_instance_rejected(self, inst, order, match):
         with pytest.raises(ValueError, match=match):
             SchedulingEnv(inst, order)

@@ -1,5 +1,6 @@
 """Environment semantics: legal allocations, stepping, rewards, schedules."""
 
+from array import array
 from itertools import product
 from random import Random
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from flexshop.baselines import fifo
 from flexshop.division import DivisionConfig, combine, machine_order, split
 from flexshop.environment import (
     IDLE,
@@ -113,17 +115,17 @@ def walk_checking_state(env: SchedulingEnv, rng: Random, allowed=None):
 class TestReset:
     def test_initial_observation(self, toy):
         obs = SchedulingEnv(toy).observation()
-        assert obs == (IDLE, IDLE, 0, 0)
+        assert obs == array("b", [IDLE, IDLE, 0, 0]).tobytes()
 
     def test_one_by_one(self, one_by_one):
         obs = SchedulingEnv(one_by_one).observation()
-        assert obs == (IDLE, 0)
+        assert obs == array("b", [IDLE, 0]).tobytes()
 
     def test_reset_reuses_the_reset_states_allocations(self, toy):
         env = SchedulingEnv(toy)
         first = env.legal_allocations()
         walk_to_end(env, lambda count: count - 1, 2 * toy.total_operations)
-        assert env.reset() == (IDLE, IDLE, 0, 0)
+        assert env.reset() == array("b", [IDLE, IDLE, 0, 0]).tobytes()
         assert env.entries == []
         assert env.legal_allocations() is first
         assert first == brute_force_allocations(env)
@@ -316,3 +318,73 @@ class TestExtractSchedule:
             twin.step(0)
         assert not env.done
         assert twin.extract_schedule().makespan > 0
+
+
+def tuple_observation(env: SchedulingEnv) -> tuple[int, ...]:
+    """The observation as a tuple of ints, rebuilt from the assignment log:
+    per job the machine running it at the clock (IDLE when none), then per
+    job its finished operation count."""
+    machine = [IDLE] * env.instance.job_count
+    finished = [0] * env.instance.job_count
+    for e in env.entries:
+        if e.end <= env.clock:
+            finished[e.job] += 1
+        else:
+            machine[e.job] = e.machine
+    return tuple(machine + finished)
+
+
+def walk_checking_observation(env: SchedulingEnv, rng: Random):
+    """Random walk to the end, checking at every state that the packed
+    observation unpacks to the tuple form and that a clone's arrays are its
+    own."""
+    cap = 2 * env.instance.total_operations
+    for _ in range(cap + 1):
+        obs = env.observation()
+        assert type(obs) is bytes
+        assert tuple(array(env.job_op.typecode, obs)) == tuple_observation(env)
+        if env.done:
+            return
+        twin = env.clone()
+        assert twin.job_op is not env.job_op
+        assert twin.job_machine is not env.job_machine
+        assert twin.observation() == obs
+        twin.step(0)
+        assert env.observation() == obs
+        result = env.step(rng.randrange(len(env.legal_allocations())))
+        assert result.observation == env.observation()
+    pytest.fail(f"walk on {env.instance.name} passed {cap} steps")
+
+
+# A 128th machine, or a 128th operation, no longer fits a signed byte.
+WIDE = {
+    "127-machines": (Instance(127, (
+        JobSpec((OperationSpec({126: 4}), OperationSpec({0: 2, 126: 3}))),
+        JobSpec((OperationSpec({126: 2}),)))), "b"),
+    "128-machines": (Instance(128, (
+        JobSpec((OperationSpec({127: 4}), OperationSpec({0: 2, 127: 3}))),
+        JobSpec((OperationSpec({127: 2}),)))), "q"),
+    "127-operations": (Instance(2, (
+        JobSpec((OperationSpec({0: 1, 1: 2}),) * 127),
+        JobSpec((OperationSpec({1: 3}),)))), "b"),
+    "128-operations": (Instance(2, (
+        JobSpec((OperationSpec({0: 1, 1: 2}),) * 128),
+        JobSpec((OperationSpec({1: 3}),)))), "q"),
+}
+
+
+class TestObservation:
+    @given(st.integers(0, 10_000), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_packs_the_tuple_form(self, inst_seed, walk_seed):
+        env = SchedulingEnv(tiny_instance(inst_seed, max_jobs=4))
+        assert env.job_op.typecode == env.job_machine.typecode == "b"
+        walk_checking_observation(env, Random(walk_seed))
+
+    @pytest.mark.parametrize("name", list(WIDE))
+    def test_typecode_widens_past_a_byte(self, name):
+        inst, code = WIDE[name]
+        env = SchedulingEnv(inst)
+        assert env.job_op.typecode == env.job_machine.typecode == code
+        assert validate_schedule(inst, fifo(inst)) == []
+        walk_checking_observation(env, Random(0))

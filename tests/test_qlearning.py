@@ -1,5 +1,6 @@
 """Q-table mechanics, action selection, TD updates, and training runs."""
 
+from array import array
 from random import Random
 
 import pytest
@@ -7,6 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from flexshop import division
+from flexshop.data import load_bundled
+from flexshop.division import DivisionConfig, solve_divided
 from flexshop.environment import SchedulingEnv, SchedulingError, StepResult, WAIT
 from flexshop.instance import parse_instance
 from flexshop.qlearning import (
@@ -298,3 +302,47 @@ class TestGreedyRollout:
         q.set(env.observation(), 0, -1.0)
         with pytest.raises(SchedulingError, match="stalls.*4 steps"):
             greedy_rollout(env, q)
+
+
+class TupleObservationEnv(SchedulingEnv):
+    """Reference environment: the observation is a tuple of ints, as before
+    it was packed into bytes."""
+
+    def observation(self):
+        return tuple(self.job_machine) + tuple(self.job_op)
+
+
+def assert_same_training(packed, reference, code: str):
+    """Equal results, and equal Q items in insertion order once the packed
+    keys (typecode `code`) are unpacked."""
+    assert packed.best_schedule == reference.best_schedule
+    assert packed.episode_makespans == reference.episode_makespans
+    assert packed.test_makespans == reference.test_makespans
+    assert [((tuple(array(code, obs).tolist()), action), value)
+            for (obs, action), value in packed.q.items()
+            ] == list(reference.q.items())
+
+
+class TestPackedObservation:
+    """The learner over packed observations matches the tuple-keyed one."""
+
+    @pytest.mark.parametrize("name", ["toy2x3", "ft06"])
+    def test_train_matches_tuple_reference(self, name):
+        env = SchedulingEnv(load_bundled(name))
+        cfg = LearnerConfig(episodes=300, test_interval=50, seed=0,
+                            epsilon_decay=0.99)
+        assert_same_training(train(env, cfg),
+                             train(TupleObservationEnv(env.instance), cfg),
+                             env.job_op.typecode)
+
+    def test_divided_matches_tuple_reference(self, la05, monkeypatch):
+        # Stage 2 runs under stage 1's machine order.
+        cfg = DivisionConfig(episodes=200, test_interval=50, seed=0,
+                             epsilon_decay=0.99, parts=2)
+        packed, packed_reports = solve_divided(la05, cfg)
+        monkeypatch.setattr(division, "SchedulingEnv", TupleObservationEnv)
+        reference, reference_reports = solve_divided(la05, cfg)
+        assert packed == reference
+        assert len(packed_reports) == len(reference_reports) == 2
+        for p, r in zip(packed_reports, reference_reports):
+            assert_same_training(p, r, "b")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from flexshop.baselines import NodeBudgetExceeded
 from flexshop.division import SplitStrategy
 from flexshop.solvers import (
     SOLVERS,
@@ -97,6 +98,54 @@ class TestEstimatorApi:
         with pytest.raises(RuntimeError, match="invalid schedule"):
             solver.fit(toy)
         assert not solver.is_fitted
+
+    @staticmethod
+    def assert_unfitted(solver):
+        assert not solver.is_fitted
+        for name in ("best_schedule_", "best_makespan_", "report_"):
+            with pytest.raises(NotFittedError):
+                getattr(solver, name)
+
+    def test_refit_drops_the_previous_fit_first(self, toy):
+        seen = []
+
+        class Watched(QLearningSolver):
+            def _solve(self, inst):
+                seen.append(sorted(n for n in vars(self) if n.endswith("_")))
+                return super()._solve(inst)
+
+        solver = Watched(episodes=50).fit(toy)
+        old = solver.report_
+        solver.fit(toy)
+        assert seen == [[], []]
+        assert solver.report_ is not old
+
+    def test_invalid_refit_leaves_solver_unfitted(self, toy):
+        class BrokenOnRefit(QLearningSolver):
+            """Learns as rl does; with seed 1 it returns one entry only."""
+
+            def _solve(self, inst):
+                schedule = super()._solve(inst)
+                if self.seed == 1:
+                    return Schedule.from_entries(schedule.entries[:1])
+                return schedule
+
+        solver = BrokenOnRefit(episodes=50, seed=0).fit(toy)
+        assert solver.is_fitted
+        solver.set_params(seed=1)
+        with pytest.raises(RuntimeError, match="invalid schedule"):
+            solver.fit(toy)
+        self.assert_unfitted(solver)
+
+    def test_oracle_refit_over_budget_leaves_solver_unfitted(self, toy, ft06):
+        solver = make_solver("oracle").fit(toy)
+        assert solver.is_fitted
+        # ft06's root bound is below the mwkr incumbent, so the search
+        # expands the root and passes a one-node budget.
+        solver.set_params(node_budget=1)
+        with pytest.raises(NodeBudgetExceeded):
+            solver.fit(ft06)
+        self.assert_unfitted(solver)
 
 
 class TestMakeSolver:
