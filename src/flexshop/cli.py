@@ -88,6 +88,19 @@ def _build(names, overrides: dict) -> dict:
     return solvers
 
 
+def _out_dir(path: str) -> Path:
+    """Create the output directory.  `solve` and `bench` call it before
+    fitting any solver, so a path that cannot be a directory is a usage
+    error that costs no fit."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory {path}: {exc}"
+                         ) from None
+    return out_dir
+
+
 def _run_cell(inst: Instance, name: str, solver) -> float:
     """Fit one built solver on one instance; returns its cpu_seconds.  A
     parameter the instance rejects (`--divide` above its operation count)
@@ -168,8 +181,7 @@ def solve(instances, solvers, out, gantt, json_out, **overrides):
     """Run solvers on instances and write schedule files."""
     solvers = _build(solvers, overrides)
     instances = [_load(path) for path in instances]
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(out)
     failed = False
     for inst in instances:
         for name, solver in solvers.items():
@@ -212,6 +224,7 @@ def bench(instances, solvers, out, **overrides):
     """Comparison table of makespan and CPU seconds per solver."""
     solvers = _build([s for s in SOLVERS if s in solvers], overrides)
     instances = [_load(path) for path in instances]
+    out_dir = None if out is None else _out_dir(out)
     rows = []  # (instance, size, [(makespan, cpu) or (None, None)])
     for inst in instances:
         cells = []
@@ -240,9 +253,7 @@ def bench(instances, solvers, out, **overrides):
     )
     click.echo(table, nl=False)
 
-    if out is not None:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir is not None:
         (out_dir / "table.txt").write_text(table)
         with (out_dir / "table.csv").open("w", newline="") as fh:
             writer = csv.writer(fh)

@@ -45,16 +45,24 @@ class SchedulingEnv:
     Construction builds per-(job, op) tables: the capable machines
     ascending, their bitmask and machine -> duration.  Besides the public
     per-job and per-machine arrays, the state keeps ``_unfinished`` (jobs
-    with operations left, so ``done`` is a test for 0), ``_free`` (bit m
+    with operations left, so ``done`` is a test for 0) and ``_free`` (bit m
     set while machine m is idle, so an idle job can start iff its current
-    operation's mask meets it) and one cache, ``_legal`` (the legal
-    allocations, ``None`` until enumerated after each state change): the
-    learner's `step` rereads it, and oracle children share it through
-    `clone`.  ``reset`` restores it from ``_root_legal``, the reset
-    state's list, since on la05 that enumeration (191 allocations, about
-    165 us) is about a fifth of a training episode.  Assignments are
-    logged as plain tuples in ``_log``; ``entries`` builds the
-    `ScheduleEntry` objects on demand.
+    operation's mask meets it).  Assignments are logged as plain tuples in
+    ``_log``; ``entries`` builds the `ScheduleEntry` objects on demand.
+
+    Legal allocations are cached at two levels:
+
+    - ``_legal``, per state: the list, ``None`` until looked up after each
+      state change.  The learner's `step` rereads it, and oracle children
+      share it through `clone`.  ``reset`` restores it from
+      ``_root_legal``, the reset state's list.
+    - ``_memo``, per env: option signature -> list.  The signature is one
+      `_option_masks` entry per job plus the all-idle flag, and fixes the
+      list, so a state whose signature was seen before costs one dict
+      lookup instead of an enumeration.  Each list's vectors are interned
+      in ``_interned``, so equal vectors of different signatures are one
+      tuple.  Both dicts are shared by `clone` and go with the env; a 500-
+      episode fit on ft06, flex06 or la05 meets 2-3 thousand signatures.
 
     ``job_op`` and ``job_machine`` are ``array``s, so `observation` packs
     them with one ``tobytes``.  Their typecode is ``"b"`` (signed byte,
@@ -137,8 +145,10 @@ class SchedulingEnv:
         self._typecode = "b" if max(instance.machine_count,
                                     *map(len, instance.jobs)) < 128 else "q"
         # Every episode starts in the same state, so its legal allocations
-        # are enumerated once and kept; reset() reuses them.
+        # are looked up once and kept; reset() reuses them.
         self._root_legal: list[Allocation] | None = None
+        self._memo: dict[tuple, list[Allocation]] = {}
+        self._interned: dict[Allocation, Allocation] = {}
         self.reset()
 
     # -- episode state ----------------------------------------------------
@@ -185,41 +195,51 @@ class SchedulingEnv:
 
     # -- legal allocations ------------------------------------------------
 
-    def _assignable(self) -> list[list[int]]:
-        """Per job, the free machines able to run its current operation,
-        ascending id; empty for busy and finished jobs."""
+    def _waits(self, job: int, op: int) -> bool:
+        """Whether operation `op` of `job` waits for its `machine_order`
+        predecessor to finish.  Only called when there is an order."""
+        pred = self._before[job][op]
+        return pred is not None and self.job_op[pred[0]] <= pred[1]
+
+    def _option_masks(self) -> list[int]:
+        """Per job, the bitmask of free machines able to start its current
+        operation now: 0 for busy and finished jobs, and for a job that
+        `_waits`."""
         free = self._free
-        options = [
-            [m for m in ops[op] if free >> m & 1]
-            if machine == IDLE and masks[op] & free else []
-            for ops, masks, op, machine in zip(
-                self._op_machines, self._op_masks, self.job_op,
-                self.job_machine)
+        masks = [
+            row[op] & free if machine == IDLE else 0
+            for row, op, machine in zip(self._op_masks, self.job_op,
+                                        self.job_machine)
         ]
-        before = self._before
-        if before is not None:
-            job_op = self.job_op
-            for job, op in enumerate(job_op):
-                pred = before[job][op]
-                if pred is not None and job_op[pred[0]] <= pred[1]:
-                    options[job] = []
-        return options
+        if self._before is not None:
+            for job, op in enumerate(self.job_op):
+                if masks[job] and self._waits(job, op):
+                    masks[job] = 0
+        return masks
+
+    def _assignable(self) -> list[list[int]]:
+        """Per job, the free machines able to start its current operation
+        now, ascending id; empty where `_option_masks` is 0."""
+        return [
+            [m for m in ops[op] if mask >> m & 1] if mask else []
+            for ops, op, mask in zip(self._op_machines, self.job_op,
+                                     self._option_masks())
+        ]
 
     def _can_start(self) -> bool:
-        """Whether `_assignable` has a non-empty entry, from the masks alone."""
+        """Whether some `_option_masks` entry is non-zero.  The skip loop
+        calls this at every completion, so it stops at the first job that
+        can start instead of building the list."""
         free = self._free
         if free:
             job_op = self.job_op
-            before = self._before
+            unordered = self._before is None
             for job, machine in enumerate(self.job_machine):
                 if machine == IDLE:
                     op = job_op[job]
-                    if self._op_masks[job][op] & free:
-                        if before is None:
-                            return True
-                        pred = before[job][op]
-                        if pred is None or job_op[pred[0]] > pred[1]:
-                            return True
+                    if self._op_masks[job][op] & free and (
+                            unordered or not self._waits(job, op)):
+                        return True
         return False
 
     def legal_allocations(self) -> list[Allocation]:
@@ -227,21 +247,38 @@ class SchedulingEnv:
 
         Order is lexicographic over job index with machine alternatives
         ascending and WAIT last per job, so action indices are stable.
+        Every state of one option signature gets the same list object, so
+        callers must not mutate it.
         """
         if self._legal is not None:  # never set in the terminal state
             return self._legal
         if self.done:
             raise SchedulingError("legal_allocations on terminal state")
+        # The option masks and the all-idle flag fix the list, so states
+        # with the same option signature share one enumeration.
+        masks = self._option_masks()
+        all_idle = self._free == self._all_free
+        signature = (all_idle, *masks)
+        result = self._memo.get(signature)
+        if result is None:
+            result = self._memo[signature] = self._enumerate(masks, all_idle)
+        self._legal = result
+        if not self._log:  # nothing assigned yet: the reset state
+            self._root_legal = result
+        return result
 
+    def _enumerate(self, masks: list[int], all_idle: bool) -> list[Allocation]:
+        """The legal list of the option signature (`masks`, `all_idle`)."""
         # Extend prefixes one job with options at a time; every other job is
         # WAIT in every vector.  Each prefix's extensions are appended in the
         # per-job order (machines ascending, WAIT last), so the list stays
         # in lexicographic order.
         partials: list[tuple[Allocation, int]] = [((), 0)]  # (prefix, used)
         done_upto = 0
-        for job, opts in enumerate(self._assignable()):
-            if not opts:
+        for job, mask in enumerate(masks):
+            if not mask:
                 continue
+            opts = [m for m in range(mask.bit_length()) if mask >> m & 1]
             gap = (WAIT,) * (job - done_upto)
             extended = []
             for prefix, used in partials:
@@ -252,15 +289,15 @@ class SchedulingEnv:
                 extended.append((head + (WAIT,), used))
             partials = extended
             done_upto = job + 1
-        tail = (WAIT,) * (self.instance.job_count - done_upto)
-        result = [prefix + tail for prefix, _ in partials]
+        tail = (WAIT,) * (len(masks) - done_upto)
+        # Equal vectors of different signatures are one object.
+        interned = self._interned
+        result = [interned.setdefault(vector, vector)
+                  for vector in (prefix + tail for prefix, _ in partials)]
         # The all-WAIT vector is enumerated last.  Drop it when it is
         # unreasonable: in the all-idle state.
-        if self._free == self._all_free:
+        if all_idle:
             result.pop()
-        self._legal = result
-        if not self._log:  # nothing assigned yet: the reset state
-            self._root_legal = result
         return result
 
     # -- stepping ---------------------------------------------------------

@@ -269,6 +269,13 @@ BAD_INPUTS = {
                                      {"c.cfg": "duration_mode = median\n"},
                                      None),
     "solve-missing-solver": (SOLVE, {}, None),
+    # The output directory is made before any fit.
+    "solve-out-is-a-file": (["solve", "--instance", "{toy}", "--out",
+                             "{tmp}/f.txt", "--solver", "fifo"],
+                            {"f.txt": "x\n"}, None),
+    "bench-out-under-a-file": (["bench", "--instance", "{toy}", "--out",
+                                "{tmp}/f.txt/x", "--solver", "fifo"],
+                               {"f.txt": "x\n"}, None),
     "stdin-malformed-instance": (STDIN, {}, "1 1\n1 1 1 0\n"),
     "stdin-no-jobs": (STDIN, {}, "0 1\n"),
     "stdin-job-without-operations": (STDIN, {}, "1 1\n0\n"),
