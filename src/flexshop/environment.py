@@ -50,16 +50,27 @@ class SchedulingEnv:
     operation's mask meets it).  Assignments are logged as plain tuples in
     ``_log``; ``entries`` builds the `ScheduleEntry` objects on demand.
 
+    The option masks live packed in one int, ``_ready``: lane j (bits
+    ``j*M`` to ``j*M + M - 1``, M machines) holds job j's current-operation
+    capable mask while the job is idle, unfinished and not waiting on its
+    `machine_order` predecessor, and 0 otherwise.  ``_spread`` has bit
+    ``j*M`` set per job, so ``_free * _spread`` copies the free mask into
+    every lane without carries, and ``_ready & _free * _spread`` is every
+    job's option mask at once.  `_apply` keeps ``_ready`` current from
+    ``_lanes``, the capable masks already shifted into their job's lane,
+    and in a constrained env from ``_after``, per (job, op) the operations
+    that wait for it to finish.
+
     Legal allocations are cached at two levels:
 
     - ``_legal``, per state: the list, ``None`` until looked up after each
       state change.  The learner's `step` rereads it, and oracle children
       share it through `clone`.  ``reset`` restores it from
       ``_root_legal``, the reset state's list.
-    - ``_memo``, per env: option signature -> list.  The signature is one
-      `_option_masks` entry per job plus the all-idle flag, and fixes the
-      list, so a state whose signature was seen before costs one dict
-      lookup instead of an enumeration.  Each list's vectors are interned
+    - ``_memo``, per env: option signature -> list.  The signature, an int
+      from `_signature`, packs the option masks and the all-idle flag, and
+      fixes the list, so a state whose signature was seen before costs one
+      dict lookup instead of an enumeration.  Each list's vectors are interned
       in ``_interned``, so equal vectors of different signatures are one
       tuple.  Both dicts are shared by `clone` and go with the env; a 500-
       episode fit on ft06, flex06 or la05 meets 2-3 thousand signatures.
@@ -141,7 +152,26 @@ class SchedulingEnv:
         self._op_masks = tuple(
             tuple(sum(1 << m for m in ms) for ms in row) for row in op_machines
         )
-        self._all_free = (1 << instance.machine_count) - 1
+        width = instance.machine_count
+        self._shifts = range(0, instance.job_count * width, width)
+        self._lanes = tuple(tuple(mask << shift for mask in row)
+                            for row, shift in zip(self._op_masks, self._shifts))
+        self._spread = sum(1 << shift for shift in self._shifts)
+        self._all_free = (1 << width) - 1
+        # Per (job, op): the operations listed right after it on its machine.
+        self._after = None
+        if self._before is not None:
+            self._after = [[[] for _ in row] for row in self._before]
+            for job, row in enumerate(self._before):
+                for op, before in enumerate(row):
+                    if before is not None:
+                        pred_job, pred_op = before
+                        self._after[pred_job][pred_op].append((job, op))
+        # At reset every job is at its first operation, which waits iff it
+        # has a listed predecessor.
+        self._root_ready = sum(
+            row[0] for job, row in enumerate(self._lanes)
+            if self._before is None or self._before[job][0] is None)
         self._typecode = "b" if max(instance.machine_count,
                                     *map(len, instance.jobs)) < 128 else "q"
         # Every episode starts in the same state, so its legal allocations
@@ -167,6 +197,7 @@ class SchedulingEnv:
         self._log: list[tuple[int, int, int, int, int]] = []
         self._unfinished = inst.job_count
         self._free = self._all_free
+        self._ready = self._root_ready
         self._legal = self._root_legal
         return self.observation()
 
@@ -204,18 +235,10 @@ class SchedulingEnv:
     def _option_masks(self) -> list[int]:
         """Per job, the bitmask of free machines able to start its current
         operation now: 0 for busy and finished jobs, and for a job that
-        `_waits`."""
-        free = self._free
-        masks = [
-            row[op] & free if machine == IDLE else 0
-            for row, op, machine in zip(self._op_masks, self.job_op,
-                                        self.job_machine)
-        ]
-        if self._before is not None:
-            for job, op in enumerate(self.job_op):
-                if masks[job] and self._waits(job, op):
-                    masks[job] = 0
-        return masks
+        `_waits`.  Unpacked from the lanes of ``_ready``."""
+        options = self._ready & self._free * self._spread
+        lane = self._all_free
+        return [options >> shift & lane for shift in self._shifts]
 
     def _assignable(self) -> list[list[int]]:
         """Per job, the free machines able to start its current operation
@@ -227,20 +250,15 @@ class SchedulingEnv:
         ]
 
     def _can_start(self) -> bool:
-        """Whether some `_option_masks` entry is non-zero.  The skip loop
-        calls this at every completion, so it stops at the first job that
-        can start instead of building the list."""
-        free = self._free
-        if free:
-            job_op = self.job_op
-            unordered = self._before is None
-            for job, machine in enumerate(self.job_machine):
-                if machine == IDLE:
-                    op = job_op[job]
-                    if self._op_masks[job][op] & free and (
-                            unordered or not self._waits(job, op)):
-                        return True
-        return False
+        """Whether some `_option_masks` entry is non-zero; the skip loop
+        tests this inline at every completion."""
+        return self._ready & self._free * self._spread != 0
+
+    def _signature(self) -> int:
+        """The memo key: the packed option masks, then the all-idle flag in
+        bit 0.  It determines the legal list."""
+        return ((self._ready & self._free * self._spread) << 1
+                | (self._free == self._all_free))
 
     def legal_allocations(self) -> list[Allocation]:
         """All executable-and-reasonable allocations, in a fixed order.
@@ -256,12 +274,11 @@ class SchedulingEnv:
             raise SchedulingError("legal_allocations on terminal state")
         # The option masks and the all-idle flag fix the list, so states
         # with the same option signature share one enumeration.
-        masks = self._option_masks()
-        all_idle = self._free == self._all_free
-        signature = (all_idle, *masks)
+        signature = self._signature()
         result = self._memo.get(signature)
         if result is None:
-            result = self._memo[signature] = self._enumerate(masks, all_idle)
+            result = self._memo[signature] = self._enumerate(
+                self._option_masks(), self._free == self._all_free)
         self._legal = result
         if not self._log:  # nothing assigned yet: the reset state
             self._root_legal = result
@@ -324,7 +341,8 @@ class SchedulingEnv:
             raise SchedulingError("step on terminal state")
         if len(allocation) != self.instance.job_count:
             raise SchedulingError("allocation length mismatch")
-        options = self._assignable()
+        options = self._ready & self._free * self._spread
+        width = self.instance.machine_count
         used: set[int] = set()
         for job, machine in enumerate(allocation):
             if type(machine) is not int:  # 0.0 == 0 and True == 1
@@ -335,7 +353,10 @@ class SchedulingEnv:
             if machine in used:
                 raise SchedulingError(f"machine {machine} assigned twice")
             used.add(machine)
-            if machine not in options[job]:
+            # A machine outside 0..M-1 would read another lane, or shift
+            # by a negative count.
+            if not (0 <= machine < width
+                    and options >> job * width + machine & 1):
                 raise SchedulingError(
                     f"job {job} cannot be assigned machine {machine} now"
                 )
@@ -349,8 +370,10 @@ class SchedulingEnv:
         machine_job = self.machine_job
         remaining = self.machine_remaining
         durations = self._op_durations
+        lanes = self._lanes
         log = self._log
         free = self._free
+        ready = self._ready
 
         for job, machine in enumerate(allocation):
             if machine != WAIT:
@@ -360,16 +383,19 @@ class SchedulingEnv:
                 machine_job[machine] = job
                 remaining[machine] = duration
                 free &= ~(1 << machine)
+                ready ^= lanes[job][op]  # set: the job was idle and ready
                 log.append((job, op, machine, clock, clock + duration))
         force_advance = free == self._free  # a pure wait
-        self._free = free
         self._legal = None
 
         # Skip intermediate states: advance to assignment completions until a
         # non-wait action exists or the episode ends.  A pure-wait action
         # explicitly holds until the next completion, so it always advances
         # at least once even if non-wait actions were already available.
-        while self._unfinished and (force_advance or not self._can_start()):
+        spread = self._spread
+        after = self._after
+        unfinished = self._unfinished
+        while unfinished and (force_advance or not ready & free * spread):
             force_advance = False
             dt = min(filter(None, remaining))  # idle machines hold 0
             clock += dt
@@ -381,12 +407,23 @@ class SchedulingEnv:
                         job = machine_job[m]
                         machine_job[m] = IDLE
                         job_machine[job] = IDLE
-                        job_op[job] += 1
+                        op = job_op[job] + 1
+                        job_op[job] = op
                         free |= 1 << m
-                        if not self._op_masks[job][job_op[job]]:
-                            self._unfinished -= 1
-            self._free = free
+                        lane = lanes[job][op]
+                        if not lane:
+                            unfinished -= 1
+                        elif after is None or not self._waits(job, op):
+                            ready |= lane
+                        if after is not None:
+                            # Idle jobs that waited for this operation.
+                            for waiter, wop in after[job][op - 1]:
+                                if job_op[waiter] == wop:
+                                    ready |= lanes[waiter][wop]
 
+        self._free = free
+        self._ready = ready
+        self._unfinished = unfinished
         self.clock = clock
         return StepResult(self.observation(), clock_before - clock,
                           self.done, clock)

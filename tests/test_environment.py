@@ -250,8 +250,15 @@ class TestStep:
         ([], (0.0, WAIT), "job 0: allocation entry 0.0 is not an int"),
         ([], (True, WAIT), "job 0: allocation entry True is not an int"),
         ([(0, WAIT)], (-1.0, 1), "job 0: allocation entry -1.0"),
+        # Machines outside 0..M-1; unchecked, job 0's machine 3 would read
+        # job 1's machine 1 and job 1's machine -2 job 0's machine 0.
+        ([], (2, WAIT), "job 0 cannot be assigned machine 2"),
+        ([], (3, WAIT), "job 0 cannot be assigned machine 3"),
+        ([], (-2, WAIT), "job 0 cannot be assigned machine -2"),
+        ([], (WAIT, -2), "job 1 cannot be assigned machine -2"),
     ], ids=["terminal", "length", "twice", "not-assignable", "pure-wait",
-            "float", "bool", "float-wait"])
+            "float", "bool", "float-wait", "machine-count", "past-count",
+            "negative", "negative-next-job"])
     def test_step_allocation_rejects_before_mutating(self, before, allocation,
                                                      message):
         env = SchedulingEnv(parse_instance("2 2\n1 2 1 5 2 3\n1 1 2 4\n"))

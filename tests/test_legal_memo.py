@@ -1,5 +1,6 @@
 """The option-signature memo of `SchedulingEnv.legal_allocations` against
-the uncached enumeration it replaced."""
+the uncached enumeration it replaced, and the packed option lanes against
+the per-job mask scan they replaced."""
 
 from random import Random
 
@@ -26,6 +27,7 @@ from flexshop.instance import parse_instance
 from flexshop.qlearning import LearnerConfig, train
 
 from conftest import tiny_instance
+from test_environment import WIDE
 
 
 class ReferenceEnv(SchedulingEnv):
@@ -78,6 +80,22 @@ class ReferenceEnv(SchedulingEnv):
         if not self._log:
             self._root_legal = result
         return result
+
+
+def reference_masks(env: SchedulingEnv) -> list[int]:
+    """Per job, the free machines able to start its current operation now,
+    rescanned from the per-job arrays and the machine-order table."""
+    free = env._free
+    masks = [
+        row[op] & free if machine == IDLE else 0
+        for row, op, machine in zip(env._op_masks, env.job_op,
+                                    env.job_machine)
+    ]
+    if env._before is not None:
+        for job, op in enumerate(env.job_op):
+            if masks[job] and env._waits(job, op):
+                masks[job] = 0
+    return masks
 
 
 def reference_list(env: SchedulingEnv) -> list[tuple[int, ...]]:
@@ -136,13 +154,63 @@ def walk_checking_memo(env: SchedulingEnv, rng: Random):
         legal = env.legal_allocations()
         assert legal == reference_list(env)
         assert by_signature.setdefault(signature, legal) is legal
-        assert env._memo[signature] is legal
+        assert env._memo[env._signature()] is legal
         # A clone shares the memo; its fresh lookup finds the same list.
         twin = env.clone()
         twin._legal = None
         assert twin.legal_allocations() is legal
         env.step(rng.randrange(len(legal)))
     pytest.fail(f"walk on {env.instance.name} passed {cap} steps")
+
+
+def walk_checking_lanes(env: SchedulingEnv, rng: Random):
+    """Random walk to the end, checking at every state, the terminal one
+    included, that the packed lanes unpack to the reference masks."""
+    cap = 2 * env.instance.total_operations
+    for _ in range(cap + 1):
+        masks = reference_masks(env)
+        assert env._option_masks() == masks
+        assert env._can_start() == any(masks)
+        if env.done:
+            return
+        env.step(rng.randrange(len(env.legal_allocations())))
+    pytest.fail(f"walk on {env.instance.name} passed {cap} steps")
+
+
+class TestLanes:
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.integers(min_value=0, max_value=1_000))
+    @settings(max_examples=100, deadline=None)
+    def test_match_reference_masks(self, seed, walk_seed):
+        env = SchedulingEnv(tiny_instance(seed, max_jobs=4))
+        rng = Random(walk_seed)
+        for _ in range(2):
+            env.reset()
+            walk_checking_lanes(env, rng)
+
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.integers(min_value=0, max_value=1_000))
+    @settings(max_examples=100, deadline=None)
+    def test_constrained_match_reference_masks(self, seed, walk_seed):
+        # Stage 2 of a split under stage 1's order: waits and unblocks.
+        inst = tiny_instance(seed, max_jobs=4)
+        assume(max(len(job) for job in inst.jobs) >= 2)
+        rng = Random(walk_seed)
+        plan = split(inst, DivisionConfig(strategy="mean"))
+        stage1 = SchedulingEnv(combine(plan, 1))
+        walk_checking_lanes(stage1, rng)
+        env = SchedulingEnv(combine(plan, 2),
+                            machine_order(stage1.extract_schedule()))
+        for _ in range(2):
+            env.reset()
+            walk_checking_lanes(env, rng)
+
+    @given(st.integers(min_value=0, max_value=1_000))
+    @settings(max_examples=20, deadline=None)
+    def test_wide_lanes_match_reference_masks(self, walk_seed):
+        # 128 machines: each lane is wider than a machine word.
+        inst, _ = WIDE["128-machines"]
+        walk_checking_lanes(SchedulingEnv(inst), Random(walk_seed))
 
 
 class TestMemo:
