@@ -26,12 +26,13 @@ class BaselineConfig:
     duration_mode: DurationMode = DurationMode.MEAN  # mwkr
 
     def __post_init__(self):
-        if min(self.episodes, self.population, self.generations,
-               self.stagnation, self.node_budget) < 1:
-            raise ValueError("counts must be positive")
-        for rate in (self.crossover_rate, self.mutation_rate):
-            if not 0 <= rate <= 1:
-                raise ValueError("rates must be in [0, 1]")
+        for name in ("episodes", "population", "generations", "stagnation",
+                     "node_budget"):
+            if (value := getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
+        for name in ("crossover_rate", "mutation_rate"):
+            if not 0 <= (value := getattr(self, name)) <= 1:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
         self.duration_mode = DurationMode(self.duration_mode)
 
 
@@ -74,20 +75,21 @@ def _dispatch(inst: Instance, priority) -> Schedule:
     env = SchedulingEnv(inst)
     ready = [0] * inst.job_count
     while not env.done:
-        options = env._assignable()
-        candidates = [j for j in range(inst.job_count) if options[j]]
+        masks = env._option_masks()
+        candidates = [j for j in range(inst.job_count) if masks[j]]
         candidates.sort(key=lambda j: (-priority(env, j, ready[j]), j))
         allocation = [WAIT] * inst.job_count
-        taken: set[int] = set()
+        taken = 0  # bit m set once machine m is allocated
         for j in candidates:
-            free = [m for m in options[j] if m not in taken]
+            free = masks[j] & ~taken
             if not free:
                 continue
             op = inst.jobs[j].operations[env.job_op[j]]
-            fastest = min(free, key=lambda m: (op.alternatives[m], m))
+            duration, fastest = min((d, m) for m, d in op.alternatives.items()
+                                    if free >> m & 1)
             allocation[j] = fastest
-            taken.add(fastest)
-            ready[j] = env.clock + op.alternatives[fastest]
+            taken |= 1 << fastest
+            ready[j] = env.clock + duration
         env.step_allocation(tuple(allocation))
     return env.extract_schedule()
 
@@ -110,7 +112,8 @@ def _remaining_work(inst: Instance, duration) -> list[list]:
     return remaining
 
 
-def mwkr(inst: Instance, duration_mode: str = "mean") -> Schedule:
+def mwkr(inst: Instance,
+         duration_mode: str = BaselineConfig.duration_mode) -> Schedule:
     """Most work remaining first: sum of durations of the operations still
     to run, current operation included."""
     remaining = _remaining_work(inst, DURATION_MODES[DurationMode(duration_mode)])

@@ -42,8 +42,9 @@ class StepResult(NamedTuple):
 class SchedulingEnv:
     """Mutable single-episode environment over an immutable instance.
 
-    Construction builds per-(job, op) tables: the capable machines
-    ascending, their bitmask and machine -> duration.  Besides the public
+    Construction builds per-(job, op) tables: the capable-machine bitmask
+    ``_op_masks`` and machine -> duration, and in a constrained env
+    ``_before`` and ``_after`` (below).  Besides the public
     per-job and per-machine arrays, the state keeps ``_unfinished`` (jobs
     with operations left, so ``done`` is a test for 0) and ``_free`` (bit m
     set while machine m is idle, so an idle job can start iff its current
@@ -58,8 +59,13 @@ class SchedulingEnv:
     every lane without carries, and ``_ready & _free * _spread`` is every
     job's option mask at once.  `_apply` keeps ``_ready`` current from
     ``_lanes``, the capable masks already shifted into their job's lane,
-    and in a constrained env from ``_after``, per (job, op) the operations
-    that wait for it to finish.
+    and in a constrained env from ``_before``, per (job, op) the operation
+    listed just before it on its machine, and ``_after``, the operations
+    that wait for it to finish.  `_option_masks` unpacks the lanes into one
+    mask per job, the only per-job view of which free machines each job
+    can start on now: `legal_allocations` enumerates from it on a memo
+    miss, and the dispatching rules pick their machines from its bits.
+    `_signature` and `_check_executable` read the packed int directly.
 
     Legal allocations are cached at two levels:
 
@@ -103,8 +109,11 @@ class SchedulingEnv:
         # Per (job, op): the (job, op) that must finish first, or None; the
         # whole table is None when nothing is constrained.
         self._before = None
+        # Per (job, op): the operations listed right after it on its machine.
+        self._after = None
         if machine_order:
             self._before = [[None] * len(row) for row in op_machines]
+            self._after = [[[] for _ in row] for row in op_machines]
             # Each op waits for its job predecessor and its listed one.
             graph = TopologicalSorter({
                 (job, op): [(job, op - 1)]
@@ -143,12 +152,12 @@ class SchedulingEnv:
                     self._before[job][op] = before
                     if before is not None:
                         graph.add((job, op), before)
+                        self._after[before[0]][before[1]].append((job, op))
             try:
                 graph.prepare()
             except CycleError as exc:
                 raise ValueError(f"machine order is cyclic on {instance.name}: "
                                  f"{exc.args[1]}") from None
-        self._op_machines = tuple(map(tuple, op_machines))
         self._op_masks = tuple(
             tuple(sum(1 << m for m in ms) for ms in row) for row in op_machines
         )
@@ -158,15 +167,6 @@ class SchedulingEnv:
                             for row, shift in zip(self._op_masks, self._shifts))
         self._spread = sum(1 << shift for shift in self._shifts)
         self._all_free = (1 << width) - 1
-        # Per (job, op): the operations listed right after it on its machine.
-        self._after = None
-        if self._before is not None:
-            self._after = [[[] for _ in row] for row in self._before]
-            for job, row in enumerate(self._before):
-                for op, before in enumerate(row):
-                    if before is not None:
-                        pred_job, pred_op = before
-                        self._after[pred_job][pred_op].append((job, op))
         # At reset every job is at its first operation, which waits iff it
         # has a listed predecessor.
         self._root_ready = sum(
@@ -226,33 +226,14 @@ class SchedulingEnv:
 
     # -- legal allocations ------------------------------------------------
 
-    def _waits(self, job: int, op: int) -> bool:
-        """Whether operation `op` of `job` waits for its `machine_order`
-        predecessor to finish.  Only called when there is an order."""
-        pred = self._before[job][op]
-        return pred is not None and self.job_op[pred[0]] <= pred[1]
-
     def _option_masks(self) -> list[int]:
         """Per job, the bitmask of free machines able to start its current
-        operation now: 0 for busy and finished jobs, and for a job that
-        `_waits`.  Unpacked from the lanes of ``_ready``."""
+        operation now: 0 for busy and finished jobs, and for a job whose
+        current operation waits on its `machine_order` predecessor.
+        Unpacked from the lanes of ``_ready``."""
         options = self._ready & self._free * self._spread
         lane = self._all_free
         return [options >> shift & lane for shift in self._shifts]
-
-    def _assignable(self) -> list[list[int]]:
-        """Per job, the free machines able to start its current operation
-        now, ascending id; empty where `_option_masks` is 0."""
-        return [
-            [m for m in ops[op] if mask >> m & 1] if mask else []
-            for ops, op, mask in zip(self._op_machines, self.job_op,
-                                     self._option_masks())
-        ]
-
-    def _can_start(self) -> bool:
-        """Whether some `_option_masks` entry is non-zero; the skip loop
-        tests this inline at every completion."""
-        return self._ready & self._free * self._spread != 0
 
     def _signature(self) -> int:
         """The memo key: the packed option masks, then the all-idle flag in
@@ -393,6 +374,7 @@ class SchedulingEnv:
         # explicitly holds until the next completion, so it always advances
         # at least once even if non-wait actions were already available.
         spread = self._spread
+        before = self._before
         after = self._after
         unfinished = self._unfinished
         while unfinished and (force_advance or not ready & free * spread):
@@ -413,8 +395,10 @@ class SchedulingEnv:
                         lane = lanes[job][op]
                         if not lane:
                             unfinished -= 1
-                        elif after is None or not self._waits(job, op):
-                            ready |= lane
+                        elif (after is None
+                              or (pred := before[job][op]) is None
+                              or job_op[pred[0]] > pred[1]):
+                            ready |= lane  # not waiting on its predecessor
                         if after is not None:
                             # Idle jobs that waited for this operation.
                             for waiter, wop in after[job][op - 1]:

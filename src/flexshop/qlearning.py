@@ -118,8 +118,9 @@ class LearnerConfig:
             raise ValueError("need 0 <= epsilon_min <= epsilon_start <= 1")
         if not 0 < self.epsilon_decay <= 1:
             raise ValueError("epsilon_decay must be in (0, 1]")
-        if self.episodes < 1 or self.test_interval < 1:
-            raise ValueError("episodes and test_interval must be positive")
+        for name in ("episodes", "test_interval"):
+            if (value := getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.time_budget is not None and not 0 < self.time_budget < inf:
             raise ValueError("time_budget must be None or a finite positive "
                              f"number of seconds, got {self.time_budget!r}")

@@ -9,6 +9,7 @@ from random import Random
 import pytest
 
 from flexshop.data import load_bundled
+from flexshop.environment import IDLE
 from flexshop.instance import Instance, JobSpec, OperationSpec
 
 # pytest's `pythonpath` setting only reaches this process; tests that run
@@ -34,6 +35,26 @@ def tiny_instance(seed: int, max_jobs: int = 3, max_machines: int = 3,
             )
         jobs.append(JobSpec(tuple(ops)))
     return Instance(machines, tuple(jobs), name=f"tiny{seed}")
+
+
+def reference_options(env) -> list[list[int]]:
+    """Per job, the free machines able to start its current operation now,
+    ascending id: rescanned from the instance, the per-job and per-machine
+    arrays, the capable masks and the machine-order table.  Empty for a
+    busy or finished job, and for one whose current operation waits on the
+    operation listed before it on its machine."""
+    inst = env.instance
+    free = [m for m, job in enumerate(env.machine_job) if job == IDLE]
+    options = []
+    for job, (op, machine) in enumerate(zip(env.job_op, env.job_machine)):
+        pred = None if env._before is None else env._before[job][op]
+        if (machine != IDLE or op == len(inst.jobs[job])
+                or pred is not None and env.job_op[pred[0]] <= pred[1]):
+            options.append([])
+        else:
+            mask = env._op_masks[job][op]
+            options.append([m for m in free if mask >> m & 1])
+    return options
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,8 @@ from flexshop.environment import IDLE, SchedulingEnv, WAIT
 from flexshop.instance import Instance, JobSpec, OperationSpec, parse_instance
 from flexshop.schedule import Schedule, ScheduleEntry, validate_schedule
 
-from conftest import tiny_instance
+from conftest import reference_options, tiny_instance
+from test_environment import WIDE
 
 
 # -- slow references for the fast paths in flexshop.baselines -------------
@@ -126,7 +127,7 @@ def reference_dispatch(inst: Instance, priority) -> Schedule:
     environment's state for every candidate at every state."""
     env = SchedulingEnv(inst)
     while not env.done:
-        options = env._assignable()
+        options = reference_options(env)
         candidates = [j for j in range(inst.job_count) if options[j]]
         candidates.sort(key=lambda j: (tuple(-p for p in priority(env, j)), j))
         allocation = [WAIT] * inst.job_count
@@ -161,6 +162,12 @@ def reference_mwkr(inst: Instance, duration_mode: str) -> Schedule:
         return (sum(duration(op) for op in ops),)
 
     return reference_dispatch(inst, remaining_work)
+
+
+def assert_rules_match_references(inst: Instance):
+    assert fifo(inst) == reference_fifo(inst)
+    for mode in ("mean", "min", "max"):
+        assert mwkr(inst, mode) == reference_mwkr(inst, mode)
 
 
 def reference_chain_bound(inst: Instance, env: SchedulingEnv) -> int:
@@ -317,9 +324,12 @@ class TestDispatchRules:
     @given(instances())
     @settings(max_examples=150, deadline=None)
     def test_rules_match_rescanning_references(self, inst):
-        assert fifo(inst) == reference_fifo(inst)
-        for mode in ("mean", "min", "max"):
-            assert mwkr(inst, mode) == reference_mwkr(inst, mode)
+        assert_rules_match_references(inst)
+
+    @pytest.mark.parametrize("name", list(WIDE))
+    def test_rules_match_rescanning_references_on_wide(self, name):
+        # Lanes of 128 machines are wider than a machine word.
+        assert_rules_match_references(WIDE[name][0])
 
     def test_rules_validate_on_random_instances(self):
         for seed in range(20):

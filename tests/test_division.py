@@ -247,7 +247,7 @@ class TestConstrainedEnv:
         order = {0: ((0, 0), (1, 0)), 1: ((0, 1),)}
         a = SchedulingEnv(inst, order)
         b = SchedulingEnv(inst, {m: as_sequence(ops) for m, ops in order.items()})
-        for table in ("_op_machines", "_op_masks", "_before"):
+        for table in ("_op_masks", "_before", "_after"):
             assert getattr(b, table) == getattr(a, table)
         assert b.legal_allocations() == a.legal_allocations() == [(0, WAIT)]
 

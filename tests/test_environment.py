@@ -19,7 +19,7 @@ from flexshop.environment import (
 from flexshop.instance import Instance, JobSpec, OperationSpec, parse_instance
 from flexshop.schedule import validate_schedule
 
-from conftest import tiny_instance
+from conftest import reference_options, tiny_instance
 
 
 def brute_force_allocations(env: SchedulingEnv, allowed=None
@@ -99,7 +99,7 @@ def walk_checking_state(env: SchedulingEnv, rng: Random, allowed=None):
                    in zip(env.machine_job, env.machine_remaining))
         if env.done:
             return
-        assert env._can_start() == any(env._assignable())
+        assert any(reference_options(env))  # the skip loop stopped here
         obs = env.observation()
         entries = env.entries
         legal = list(env.legal_allocations())

@@ -18,7 +18,6 @@ from flexshop.division import (
     split,
 )
 from flexshop.environment import (
-    IDLE,
     WAIT,
     SchedulingEnv,
     SchedulingError,
@@ -26,31 +25,13 @@ from flexshop.environment import (
 from flexshop.instance import parse_instance
 from flexshop.qlearning import LearnerConfig, train
 
-from conftest import tiny_instance
+from conftest import reference_options, tiny_instance
 from test_environment import WIDE
 
 
 class ReferenceEnv(SchedulingEnv):
     """Reference environment: every fresh state rescans the jobs' options,
     machine-order rule included, and enumerates its own list."""
-
-    def _reference_assignable(self) -> list[list[int]]:
-        free = self._free
-        options = [
-            [m for m in ops[op] if free >> m & 1]
-            if machine == IDLE and masks[op] & free else []
-            for ops, masks, op, machine in zip(
-                self._op_machines, self._op_masks, self.job_op,
-                self.job_machine)
-        ]
-        before = self._before
-        if before is not None:
-            job_op = self.job_op
-            for job, op in enumerate(job_op):
-                pred = before[job][op]
-                if pred is not None and job_op[pred[0]] <= pred[1]:
-                    options[job] = []
-        return options
 
     def legal_allocations(self):
         if self._legal is not None:
@@ -59,7 +40,7 @@ class ReferenceEnv(SchedulingEnv):
             raise SchedulingError("legal_allocations on terminal state")
         partials = [((), 0)]  # (prefix, used machines)
         done_upto = 0
-        for job, opts in enumerate(self._reference_assignable()):
+        for job, opts in enumerate(reference_options(self)):
             if not opts:
                 continue
             gap = (WAIT,) * (job - done_upto)
@@ -83,19 +64,8 @@ class ReferenceEnv(SchedulingEnv):
 
 
 def reference_masks(env: SchedulingEnv) -> list[int]:
-    """Per job, the free machines able to start its current operation now,
-    rescanned from the per-job arrays and the machine-order table."""
-    free = env._free
-    masks = [
-        row[op] & free if machine == IDLE else 0
-        for row, op, machine in zip(env._op_masks, env.job_op,
-                                    env.job_machine)
-    ]
-    if env._before is not None:
-        for job, op in enumerate(env.job_op):
-            if masks[job] and env._waits(job, op):
-                masks[job] = 0
-    return masks
+    """Per job, the bitmask of `reference_options`."""
+    return [sum(1 << m for m in opts) for opts in reference_options(env)]
 
 
 def reference_list(env: SchedulingEnv) -> list[tuple[int, ...]]:
@@ -170,7 +140,8 @@ def walk_checking_lanes(env: SchedulingEnv, rng: Random):
     for _ in range(cap + 1):
         masks = reference_masks(env)
         assert env._option_masks() == masks
-        assert env._can_start() == any(masks)
+        # The skip loop stops only where some job can start.
+        assert any(masks) != env.done
         if env.done:
             return
         env.step(rng.randrange(len(env.legal_allocations())))

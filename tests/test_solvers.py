@@ -2,8 +2,9 @@
 
 import pytest
 
-from flexshop.baselines import NodeBudgetExceeded
+from flexshop.baselines import BaselineConfig, NodeBudgetExceeded
 from flexshop.division import SplitStrategy
+from flexshop.qlearning import LearnerConfig
 from flexshop.solvers import (
     SOLVERS,
     BaseSolver,
@@ -65,6 +66,21 @@ class TestEstimatorApi:
             DividedQLearningSolver(strategy="halves")
         with pytest.raises(ValueError):
             GeneticSolver(population=0)
+
+    @pytest.mark.parametrize("config, name, value", [
+        (BaselineConfig, "episodes", 0),
+        (BaselineConfig, "population", 0),
+        (BaselineConfig, "generations", -1),
+        (BaselineConfig, "stagnation", 0),
+        (BaselineConfig, "node_budget", 0),
+        (BaselineConfig, "crossover_rate", 1.5),
+        (BaselineConfig, "mutation_rate", -0.25),
+        (LearnerConfig, "episodes", 0),
+        (LearnerConfig, "test_interval", -3),
+    ])
+    def test_config_error_names_the_field(self, config, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be .*, got {value}$"):
+            config(**{name: value})
 
     def test_params_read_as_attributes(self):
         assert GeneticSolver(generations=7).generations == 7
