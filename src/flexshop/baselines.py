@@ -28,8 +28,8 @@ class BaselineConfig:
     def __post_init__(self):
         for name in ("episodes", "population", "generations", "stagnation",
                      "node_budget"):
-            if (value := getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if type(value := getattr(self, name)) is not int or value < 1:
+                raise ValueError(f"{name} must be a positive int, got {value!r}")
         for name in ("crossover_rate", "mutation_rate"):
             if not 0 <= (value := getattr(self, name)) <= 1:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")

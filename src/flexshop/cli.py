@@ -16,6 +16,7 @@ from pathlib import Path
 import click
 
 from .baselines import NodeBudgetExceeded
+from .division import split
 from .instance import Instance, InstanceError, load_instance, parse_instance
 from .schedule import (
     parse_schedule,
@@ -24,7 +25,7 @@ from .schedule import (
     validate_schedule,
     write_schedule,
 )
-from .solvers import SOLVERS, make_solver
+from .solvers import SOLVERS, DividedQLearningSolver, make_solver
 
 
 class InputError(click.ClickException):
@@ -77,8 +78,8 @@ def _load(path: str) -> Instance:
 
 def _build(names, overrides: dict) -> dict:
     """Every selected solver by name.  `solve` and `bench` build them, and
-    load every instance, before fitting any, so a usage error writes no
-    file."""
+    load and check every instance (`_load_all`), before fitting any, so a
+    usage error writes no file."""
     solvers = {}
     for name in names:
         try:
@@ -101,15 +102,24 @@ def _out_dir(path: str) -> Path:
     return out_dir
 
 
-def _run_cell(inst: Instance, name: str, solver) -> float:
-    """Fit one built solver on one instance; returns its cpu_seconds.  A
-    parameter the instance rejects (`--divide` above its operation count)
-    is a usage error."""
-    try:
-        cpu0 = time.process_time()
-        solver.fit(inst)
-    except ValueError as exc:
-        raise InputError(f"{name} on {inst.name}: {exc}") from None
+def _load_all(paths, solvers: dict) -> list[Instance]:
+    """Load every instance and check it against each solver's settings: a
+    `--divide` the instance cannot take is a usage error before any fit."""
+    instances = [_load(path) for path in paths]
+    for inst in instances:
+        for name, solver in solvers.items():
+            if isinstance(solver, DividedQLearningSolver):
+                try:
+                    split(inst, solver.config)
+                except ValueError as exc:
+                    raise InputError(f"{name} on {inst.name}: {exc}") from None
+    return instances
+
+
+def _run_cell(inst: Instance, solver) -> float:
+    """Fit one built solver on one instance; returns its cpu_seconds."""
+    cpu0 = time.process_time()
+    solver.fit(inst)
     return time.process_time() - cpu0
 
 
@@ -180,14 +190,21 @@ def main():
 def solve(instances, solvers, out, gantt, json_out, **overrides):
     """Run solvers on instances and write schedule files."""
     solvers = _build(solvers, overrides)
-    instances = [_load(path) for path in instances]
+    loaded = _load_all(instances, solvers)
+    # Output files are named by instance, so no name may come twice.
+    named = {}
+    for path, inst in zip(instances, loaded):
+        if inst.name in named:
+            raise InputError(f"instances {named[inst.name]} and {path} are "
+                             f"both named {inst.name}")
+        named[inst.name] = path
     out_dir = _out_dir(out)
     failed = False
-    for inst in instances:
+    for inst in loaded:
         for name, solver in solvers.items():
             stem = f"{inst.name}__{name}"
             try:
-                cpu = _run_cell(inst, name, solver)
+                cpu = _run_cell(inst, solver)
             except NodeBudgetExceeded as exc:
                 click.echo(f"{stem}: budget exceeded: {exc}", err=True)
                 failed = True
@@ -223,14 +240,14 @@ def solve(instances, solvers, out, gantt, json_out, **overrides):
 def bench(instances, solvers, out, **overrides):
     """Comparison table of makespan and CPU seconds per solver."""
     solvers = _build([s for s in SOLVERS if s in solvers], overrides)
-    instances = [_load(path) for path in instances]
+    instances = _load_all(instances, solvers)
     out_dir = None if out is None else _out_dir(out)
     rows = []  # (instance, size, [(makespan, cpu) or (None, None)])
     for inst in instances:
         cells = []
         for name, solver in solvers.items():
             try:
-                cpu = _run_cell(inst, name, solver)
+                cpu = _run_cell(inst, solver)
                 cells.append((solver.best_makespan_, cpu))
             except NodeBudgetExceeded:
                 cells.append((None, None))

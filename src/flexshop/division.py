@@ -45,8 +45,9 @@ class DivisionConfig(LearnerConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.parts < 2:
-            raise ValueError(f"parts must be at least 2, got {self.parts}")
+        if type(self.parts) is not int or self.parts < 2:
+            raise ValueError(f"parts must be an int of at least 2, "
+                             f"got {self.parts!r}")
         self.strategy = SplitStrategy(self.strategy)
 
 
@@ -63,6 +64,9 @@ def split(inst: Instance, cfg: DivisionConfig) -> SplitPlan:
     """
     parts = cfg.parts
     max_ops = max(len(job) for job in inst.jobs)
+    if max_ops < 2:
+        raise ValueError("no job has 2 or more operations, so there is "
+                         "nothing to divide")
     if parts > max_ops:
         raise ValueError(f"parts must be in 2..{max_ops}, got {parts}")
     weight = (DURATION_MODES[DurationMode(cfg.strategy.value)]

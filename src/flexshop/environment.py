@@ -42,14 +42,9 @@ class StepResult(NamedTuple):
 class SchedulingEnv:
     """Mutable single-episode environment over an immutable instance.
 
-    Construction builds per-(job, op) tables: the capable-machine bitmask
-    ``_op_masks`` and machine -> duration, and in a constrained env
-    ``_before`` and ``_after`` (below).  Besides the public
-    per-job and per-machine arrays, the state keeps ``_unfinished`` (jobs
-    with operations left, so ``done`` is a test for 0) and ``_free`` (bit m
-    set while machine m is idle, so an idle job can start iff its current
-    operation's mask meets it).  Assignments are logged as plain tuples in
-    ``_log``; ``entries`` builds the `ScheduleEntry` objects on demand.
+    Besides the public per-job and per-machine arrays, the state keeps
+    ``_unfinished`` (jobs with operations left), ``_free`` (bit m set while
+    machine m is idle) and ``_log``, the assignments as plain tuples.
 
     The option masks live packed in one int, ``_ready``: lane j (bits
     ``j*M`` to ``j*M + M - 1``, M machines) holds job j's current-operation
@@ -57,34 +52,18 @@ class SchedulingEnv:
     `machine_order` predecessor, and 0 otherwise.  ``_spread`` has bit
     ``j*M`` set per job, so ``_free * _spread`` copies the free mask into
     every lane without carries, and ``_ready & _free * _spread`` is every
-    job's option mask at once.  `_apply` keeps ``_ready`` current from
-    ``_lanes``, the capable masks already shifted into their job's lane,
-    and in a constrained env from ``_before``, per (job, op) the operation
-    listed just before it on its machine, and ``_after``, the operations
-    that wait for it to finish.  `_option_masks` unpacks the lanes into one
-    mask per job, the only per-job view of which free machines each job
-    can start on now: `legal_allocations` enumerates from it on a memo
-    miss, and the dispatching rules pick their machines from its bits.
-    `_signature` and `_check_executable` read the packed int directly.
+    job's option mask at once.  `_option_masks` unpacks it for
+    `legal_allocations` and the dispatching rules.
 
-    Legal allocations are cached at two levels:
+    Legal allocations are cached at two levels.  ``_legal`` is the current
+    state's list, ``None`` after each state change.  ``_memo`` maps an
+    option signature (`_signature`) to its list, and ``_interned`` makes
+    equal vectors of different signatures one tuple.  `clone` shares all
+    three.
 
-    - ``_legal``, per state: the list, ``None`` until looked up after each
-      state change.  The learner's `step` rereads it, and oracle children
-      share it through `clone`.  ``reset`` restores it from
-      ``_root_legal``, the reset state's list.
-    - ``_memo``, per env: option signature -> list.  The signature, an int
-      from `_signature`, packs the option masks and the all-idle flag, and
-      fixes the list, so a state whose signature was seen before costs one
-      dict lookup instead of an enumeration.  Each list's vectors are interned
-      in ``_interned``, so equal vectors of different signatures are one
-      tuple.  Both dicts are shared by `clone` and go with the env; a 500-
-      episode fit on ft06, flex06 or la05 meets 2-3 thousand signatures.
-
-    ``job_op`` and ``job_machine`` are ``array``s, so `observation` packs
-    them with one ``tobytes``.  Their typecode is ``"b"`` (signed byte,
-    which holds ``IDLE``) while the machine count and every job's operation
-    count are below 128, and ``"q"`` otherwise.
+    ``job_op`` and ``job_machine`` are ``array``s of typecode ``"b"`` (signed
+    byte, which holds ``IDLE``) while the machine count and every job's
+    operation count are below 128, and ``"q"`` otherwise.
     """
 
     def __init__(self, instance: Instance,
@@ -96,45 +75,47 @@ class SchedulingEnv:
         that forms a cycle with the job chains is a `ValueError`, so every
         non-terminal state has a legal action."""
         self.instance = instance
-        # Per (job, op): capable machines ascending, and machine -> duration.
-        # Each job's machine row ends with an empty entry for "finished".
-        op_machines = [
-            [tuple(op.machines()) for op in job.operations] + [()]
-            for job in instance.jobs
-        ]
         self._op_durations = tuple(
             tuple(op.alternatives for op in job.operations)
             for job in instance.jobs
         )
-        # Per (job, op): the (job, op) that must finish first, or None; the
-        # whole table is None when nothing is constrained.
-        self._before = None
-        # Per (job, op): the operations listed right after it on its machine.
-        self._after = None
+        # Per (job, op): the capable-machine bitmask.  Each job's row ends
+        # with a 0 for "finished".
+        masks = self._op_masks = [
+            [sum(1 << m for m in op.alternatives) for op in job.operations]
+            + [0] for job in instance.jobs
+        ]
+        # Per (job, op): the (job, op) listed right before it on its machine,
+        # which must finish first, and the one listed right after it, or
+        # None.  Both tables are None when nothing is constrained.
+        self._before = self._after = None
         if machine_order:
-            self._before = [[None] * len(row) for row in op_machines]
-            self._after = [[[] for _ in row] for row in op_machines]
+            if not isinstance(machine_order, dict):
+                raise ValueError("machine order must be a dict of machine -> "
+                                 "(job, op) pairs, got a "
+                                 f"{type(machine_order).__name__}")
+            self._before = [[None] * len(row) for row in masks]
+            self._after = [[None] * len(row) for row in masks]
             # Each op waits for its job predecessor and its listed one.
             graph = TopologicalSorter({
                 (job, op): [(job, op - 1)]
-                for job, row in enumerate(op_machines)
+                for job, row in enumerate(masks)
                 for op in range(1, len(row) - 1)
             })
             listed: dict[tuple[int, int], int] = {}  # (job, op) -> machine
             for machine, order in machine_order.items():
-                if not (isinstance(machine, int)
+                if not (type(machine) is int  # True == 1
                         and 0 <= machine < instance.machine_count):
                     raise ValueError(f"machine order key {machine!r} is not a "
                                      f"machine of {instance.name}")
-                order = tuple(order)
+                before = None
                 for entry in order:
                     if not (isinstance(entry, tuple | list) and len(entry) == 2
-                            and all(isinstance(i, int) for i in entry)):
+                            and all(type(i) is int for i in entry)):
                         raise ValueError(
                             f"machine order entry {entry!r} on machine "
                             f"{machine} is not a (job, op) pair of ints")
-                order = tuple((job, op) for job, op in order)
-                for before, (job, op) in zip((None,) + order, order):
+                    job, op = entry
                     if not (0 <= job < instance.job_count
                             and 0 <= op < len(instance.jobs[job])):
                         raise ValueError(f"constraint names op ({job}, {op}) "
@@ -144,23 +125,21 @@ class SchedulingEnv:
                         raise ValueError(
                             f"constraint lists op ({job}, {op}) on machines "
                             f"{other} and {machine}")
-                    if machine not in op_machines[job][op]:
+                    if not masks[job][op] >> machine & 1:
                         raise ValueError(
                             f"constraint puts op ({job}, {op}) on machine "
                             f"{machine}, which cannot run it")
-                    op_machines[job][op] = (machine,)
+                    masks[job][op] = 1 << machine
                     self._before[job][op] = before
                     if before is not None:
                         graph.add((job, op), before)
-                        self._after[before[0]][before[1]].append((job, op))
+                        self._after[before[0]][before[1]] = (job, op)
+                    before = (job, op)
             try:
                 graph.prepare()
             except CycleError as exc:
                 raise ValueError(f"machine order is cyclic on {instance.name}: "
                                  f"{exc.args[1]}") from None
-        self._op_masks = tuple(
-            tuple(sum(1 << m for m in ms) for ms in row) for row in op_machines
-        )
         width = instance.machine_count
         self._shifts = range(0, instance.job_count * width, width)
         self._lanes = tuple(tuple(mask << shift for mask in row)
@@ -174,10 +153,7 @@ class SchedulingEnv:
             if self._before is None or self._before[job][0] is None)
         self._typecode = "b" if max(instance.machine_count,
                                     *map(len, instance.jobs)) < 128 else "q"
-        # Every episode starts in the same state, so its legal allocations
-        # are looked up once and kept; reset() reuses them.
-        self._root_legal: list[Allocation] | None = None
-        self._memo: dict[tuple, list[Allocation]] = {}
+        self._memo: dict[int, list[Allocation]] = {}
         self._interned: dict[Allocation, Allocation] = {}
         self.reset()
 
@@ -198,7 +174,7 @@ class SchedulingEnv:
         self._unfinished = inst.job_count
         self._free = self._all_free
         self._ready = self._root_ready
-        self._legal = self._root_legal
+        self._legal = None
         return self.observation()
 
     def clone(self) -> "SchedulingEnv":
@@ -261,8 +237,6 @@ class SchedulingEnv:
             result = self._memo[signature] = self._enumerate(
                 self._option_masks(), self._free == self._all_free)
         self._legal = result
-        if not self._log:  # nothing assigned yet: the reset state
-            self._root_legal = result
         return result
 
     def _enumerate(self, masks: list[int], all_idle: bool) -> list[Allocation]:
@@ -399,11 +373,10 @@ class SchedulingEnv:
                               or (pred := before[job][op]) is None
                               or job_op[pred[0]] > pred[1]):
                             ready |= lane  # not waiting on its predecessor
-                        if after is not None:
-                            # Idle jobs that waited for this operation.
-                            for waiter, wop in after[job][op - 1]:
-                                if job_op[waiter] == wop:
-                                    ready |= lanes[waiter][wop]
+                        if (after is not None
+                                and (nxt := after[job][op - 1]) is not None
+                                and job_op[nxt[0]] == nxt[1]):
+                            ready |= lanes[nxt[0]][nxt[1]]  # it waited on m
 
         self._free = free
         self._ready = ready

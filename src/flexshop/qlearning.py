@@ -119,8 +119,8 @@ class LearnerConfig:
         if not 0 < self.epsilon_decay <= 1:
             raise ValueError("epsilon_decay must be in (0, 1]")
         for name in ("episodes", "test_interval"):
-            if (value := getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if type(value := getattr(self, name)) is not int or value < 1:
+                raise ValueError(f"{name} must be a positive int, got {value!r}")
         if self.time_budget is not None and not 0 < self.time_budget < inf:
             raise ValueError("time_budget must be None or a finite positive "
                              f"number of seconds, got {self.time_budget!r}")

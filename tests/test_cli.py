@@ -229,6 +229,7 @@ class TestSolverFlags:
 SOLVE = ["solve", "--instance", "{toy}", "--out", "{tmp}"]
 CONFIG = ["--config", "{tmp}/c.cfg"]
 STDIN = ["solve", "--instance", "-", "--out", "{tmp}", "--solver", "fifo"]
+TOY_TEXT = bundled_path("toy2x3").read_text()
 BAD_INPUTS = {
     "config-seed-not-int": ([*SOLVE, "--solver", "rl", *CONFIG],
                             {"c.cfg": "seed = abc\n"}, None),
@@ -265,6 +266,16 @@ BAD_INPUTS = {
     "solve-missing-second-instance": ([*SOLVE, "--instance",
                                        "{tmp}/missing.fjs", "--solver", "fifo"],
                                       {}, None),
+    # `--divide` is checked against every instance before the first fit.
+    "divide-second-instance-one-op-jobs": ([*SOLVE, "--instance",
+                                            "{tmp}/one.fjs",
+                                            "--solver", "rl-divided"],
+                                           {"one.fjs": "1 1\n1 1 1 3\n"},
+                                           None),
+    # Both would write toy2x3__fifo.sched.
+    "solve-duplicate-instance-name": ([*SOLVE, "--instance",
+                                       "{tmp}/toy2x3.fjs", "--solver", "fifo"],
+                                      {"toy2x3.fjs": TOY_TEXT}, None),
     "config-duration-mode-unknown": ([*SOLVE, "--solver", "mwkr", *CONFIG],
                                      {"c.cfg": "duration_mode = median\n"},
                                      None),

@@ -174,6 +174,8 @@ class TestSplit:
             split(toy, divided(SplitStrategy.BY_OP_COUNT, parts=1))
         with pytest.raises(ValueError):
             split(toy, divided(SplitStrategy.BY_OP_COUNT, parts=4))
+        with pytest.raises(ValueError, match="no job has 2 or more operations"):
+            split(ONE_OP, divided(SplitStrategy.BY_OP_COUNT))
 
 
 class TestCombine:
@@ -221,18 +223,24 @@ class TestConstrainedEnv:
         # A JSON-loaded order has string keys; machine 0 can run the op.
         (ONE_OP, {"0": [[0, 0]]}, "key '0' is not a machine"),
         (ONE_OP, {2: ((0, 0),)}, "key 2 is not a machine"),
+        # True == 1, but a bool is no machine id.
+        (ONE_OP, {True: [(0, 0)]}, "key True is not a machine"),
+        (ONE_OP, [(0, 0)], "must be a dict"),
         # flex06's op (0, 0) runs on M2 or M3, but not on both.
         (FLEX06, {2: [(0, 0)], 3: [(0, 0)]},
          r"op \(0, 0\) on machines 2 and 3"),
     ], ids=["op-outside", "machine-cannot-run", "cyclic", "listed-twice",
-            "string-key", "key-out-of-range", "listed-on-two-machines"])
+            "string-key", "key-out-of-range", "bool-key", "not-a-dict",
+            "listed-on-two-machines"])
     def test_constraint_outside_instance_rejected(self, inst, order, match):
         with pytest.raises(ValueError, match=match):
             SchedulingEnv(inst, order)
 
-    @pytest.mark.parametrize("entry", [(0,), ("0", 0), (0, 0.0), (0, 0, 0), 0],
+    @pytest.mark.parametrize("entry", [(0,), ("0", 0), (0, 0.0), (0, 0, 0), 0,
+                                       (False, 0), [0, True]],
                              ids=["one-int", "string-job", "float-op",
-                                  "three-ints", "not-a-pair"])
+                                  "three-ints", "not-a-pair", "bool-job",
+                                  "bool-op"])
     def test_order_entry_not_a_pair_of_ints_rejected(self, entry):
         with pytest.raises(ValueError,
                            match=rf"entry {re.escape(repr(entry))} on machine 0"):

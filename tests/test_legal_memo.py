@@ -58,8 +58,6 @@ class ReferenceEnv(SchedulingEnv):
         if self._free == self._all_free:
             result.pop()
         self._legal = result
-        if not self._log:
-            self._root_legal = result
         return result
 
 

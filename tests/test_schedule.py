@@ -166,6 +166,13 @@ class TestGantt:
         assert render_gantt(sched, 3) == render_gantt(sched, 3)
 
     def test_title_is_escaped(self, toy):
-        svg = render_gantt(random_schedule(toy), 3, title="a&b<1>")
+        from xml.sax.saxutils import escape
+
+        sched = random_schedule(toy)
+        svg = render_gantt(sched, 3, title="a&b<1>")
         title = ET.fromstring(svg).find("{http://www.w3.org/2000/svg}text")
         assert title.text.startswith("a&b<1> makespan=")
+        # Byte for byte as xml.sax.saxutils escapes it.
+        assert render_gantt(sched, 3, title="<a&b>") == render_gantt(
+            sched, 3, title="T").replace(
+                ">T makespan=", ">" + escape("<a&b>") + " makespan=", 1)

@@ -3,7 +3,7 @@
 import pytest
 
 from flexshop.baselines import BaselineConfig, NodeBudgetExceeded
-from flexshop.division import SplitStrategy
+from flexshop.division import DivisionConfig, SplitStrategy
 from flexshop.qlearning import LearnerConfig
 from flexshop.solvers import (
     SOLVERS,
@@ -77,6 +77,16 @@ class TestEstimatorApi:
         (BaselineConfig, "mutation_rate", -0.25),
         (LearnerConfig, "episodes", 0),
         (LearnerConfig, "test_interval", -3),
+        # A count is an int: neither a float nor a bool.
+        (BaselineConfig, "episodes", 2.5),
+        (BaselineConfig, "population", 2.5),
+        (BaselineConfig, "generations", 2.0),
+        (BaselineConfig, "stagnation", True),
+        (BaselineConfig, "node_budget", 1e6),
+        (LearnerConfig, "episodes", 2.5),
+        (LearnerConfig, "episodes", True),
+        (LearnerConfig, "test_interval", 2.5),
+        (DivisionConfig, "parts", 2.5),
     ])
     def test_config_error_names_the_field(self, config, name, value):
         with pytest.raises(ValueError, match=rf"^{name} must be .*, got {value}$"):
