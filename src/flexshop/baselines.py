@@ -31,8 +31,12 @@ class BaselineConfig:
             if type(value := getattr(self, name)) is not int or value < 1:
                 raise ValueError(f"{name} must be a positive int, got {value!r}")
         for name in ("crossover_rate", "mutation_rate"):
-            if not 0 <= (value := getattr(self, name)) <= 1:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not 0 <= value <= 1:
+                raise ValueError(f"{name} must be a number in [0, 1], "
+                                 f"got {value!r}")
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         self.duration_mode = DurationMode(self.duration_mode)
 
 

@@ -76,35 +76,20 @@ def _load(path: str) -> Instance:
         raise InputError(f"cannot read instance {path}: {exc}") from None
 
 
-def _build(names, overrides: dict) -> dict:
-    """Every selected solver by name.  `solve` and `bench` build them, and
-    load and check every instance (`_load_all`), before fitting any, so a
-    usage error writes no file."""
+def _prepare(paths, names, overrides: dict, out: str | None
+             ) -> tuple[dict, list[Instance], Path | None]:
+    """Every pre-fit check of `solve` and `bench`, so a usage error costs
+    no fit and writes no file: build each named solver, load every
+    instance, check `--divide` against each, refuse two instances with one
+    name (their outputs and table rows are named by instance), and create
+    `out`.  Returns the solvers by name, the instances and the output
+    directory (None when `out` is None)."""
     solvers = {}
     for name in names:
         try:
             solvers[name] = make_solver(name, **overrides)
         except ValueError as exc:
             raise InputError(f"{name}: {exc}") from None
-    return solvers
-
-
-def _out_dir(path: str) -> Path:
-    """Create the output directory.  `solve` and `bench` call it before
-    fitting any solver, so a path that cannot be a directory is a usage
-    error that costs no fit."""
-    out_dir = Path(path)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InputError(f"cannot create output directory {path}: {exc}"
-                         ) from None
-    return out_dir
-
-
-def _load_all(paths, solvers: dict) -> list[Instance]:
-    """Load every instance and check it against each solver's settings: a
-    `--divide` the instance cannot take is a usage error before any fit."""
     instances = [_load(path) for path in paths]
     for inst in instances:
         for name, solver in solvers.items():
@@ -113,7 +98,20 @@ def _load_all(paths, solvers: dict) -> list[Instance]:
                     split(inst, solver.config)
                 except ValueError as exc:
                     raise InputError(f"{name} on {inst.name}: {exc}") from None
-    return instances
+    named = {}
+    for path, inst in zip(paths, instances):
+        if inst.name in named:
+            raise InputError(f"instances {named[inst.name]} and {path} are "
+                             f"both named {inst.name}")
+        named[inst.name] = path
+    if out is None:
+        return solvers, instances, None
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory {out}: {exc}"
+                         ) from None
+    return solvers, instances, Path(out)
 
 
 def _run_cell(inst: Instance, solver) -> float:
@@ -189,16 +187,7 @@ def main():
 @click.option("--json", "json_out", is_flag=True, help="Also write JSON export.")
 def solve(instances, solvers, out, gantt, json_out, **overrides):
     """Run solvers on instances and write schedule files."""
-    solvers = _build(solvers, overrides)
-    loaded = _load_all(instances, solvers)
-    # Output files are named by instance, so no name may come twice.
-    named = {}
-    for path, inst in zip(instances, loaded):
-        if inst.name in named:
-            raise InputError(f"instances {named[inst.name]} and {path} are "
-                             f"both named {inst.name}")
-        named[inst.name] = path
-    out_dir = _out_dir(out)
+    solvers, loaded, out_dir = _prepare(instances, solvers, overrides, out)
     failed = False
     for inst in loaded:
         for name, solver in solvers.items():
@@ -239,9 +228,8 @@ def solve(instances, solvers, out, gantt, json_out, **overrides):
               help="Directory for table.txt / table.csv.")
 def bench(instances, solvers, out, **overrides):
     """Comparison table of makespan and CPU seconds per solver."""
-    solvers = _build([s for s in SOLVERS if s in solvers], overrides)
-    instances = _load_all(instances, solvers)
-    out_dir = None if out is None else _out_dir(out)
+    solvers, instances, out_dir = _prepare(
+        instances, [s for s in SOLVERS if s in solvers], overrides, out)
     rows = []  # (instance, size, [(makespan, cpu) or (None, None)])
     for inst in instances:
         cells = []

@@ -108,6 +108,10 @@ class SchedulingEnv:
                         and 0 <= machine < instance.machine_count):
                     raise ValueError(f"machine order key {machine!r} is not a "
                                      f"machine of {instance.name}")
+                if not isinstance(order, tuple | list):
+                    raise ValueError(f"machine order on machine {machine} is "
+                                     f"not a list of (job, op) pairs, got "
+                                     f"{order!r}")
                 before = None
                 for entry in order:
                     if not (isinstance(entry, tuple | list) and len(entry) == 2
@@ -275,6 +279,8 @@ class SchedulingEnv:
     # -- stepping ---------------------------------------------------------
 
     def step(self, action: int) -> StepResult:
+        if type(action) is not int:  # True would run action 1
+            raise SchedulingError(f"action {action!r} is not an int")
         legal = self.legal_allocations()
         if not 0 <= action < len(legal):
             raise SchedulingError(

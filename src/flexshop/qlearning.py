@@ -112,18 +112,29 @@ class LearnerConfig:
     time_budget: float | None = None  # wall-clock seconds, None = unlimited
 
     def __post_init__(self):
+        for name in ("alpha", "epsilon_start", "epsilon_min", "epsilon_decay"):
+            if type(value := getattr(self, name)) not in (int, float):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
+            raise ValueError(f"alpha must be in (0, 1], got {self.alpha!r}")
         if not 0 <= self.epsilon_min <= self.epsilon_start <= 1:
             raise ValueError("need 0 <= epsilon_min <= epsilon_start <= 1")
         if not 0 < self.epsilon_decay <= 1:
-            raise ValueError("epsilon_decay must be in (0, 1]")
+            raise ValueError("epsilon_decay must be in (0, 1], "
+                             f"got {self.epsilon_decay!r}")
         for name in ("episodes", "test_interval"):
             if type(value := getattr(self, name)) is not int or value < 1:
                 raise ValueError(f"{name} must be a positive int, got {value!r}")
-        if self.time_budget is not None and not 0 < self.time_budget < inf:
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        for name in ("prepopulate", "include_immediate_reward"):
+            if type(value := getattr(self, name)) is not bool:
+                raise ValueError(f"{name} must be a bool, got {value!r}")
+        budget = self.time_budget
+        if budget is not None and (type(budget) not in (int, float)
+                                   or not 0 < budget < inf):
             raise ValueError("time_budget must be None or a finite positive "
-                             f"number of seconds, got {self.time_budget!r}")
+                             f"number of seconds, got {budget!r}")
 
 
 @dataclass

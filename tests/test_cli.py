@@ -276,6 +276,11 @@ BAD_INPUTS = {
     "solve-duplicate-instance-name": ([*SOLVE, "--instance",
                                        "{tmp}/toy2x3.fjs", "--solver", "fifo"],
                                       {"toy2x3.fjs": TOY_TEXT}, None),
+    # Both would give a table row and a CSV row named toy2x3.
+    "bench-duplicate-instance-name": (["bench", "--instance", "{toy}",
+                                       "--instance", "{tmp}/toy2x3.fjs",
+                                       "--out", "{tmp}", "--solver", "fifo"],
+                                      {"toy2x3.fjs": TOY_TEXT}, None),
     "config-duration-mode-unknown": ([*SOLVE, "--solver", "mwkr", *CONFIG],
                                      {"c.cfg": "duration_mode = median\n"},
                                      None),

@@ -226,11 +226,13 @@ class TestConstrainedEnv:
         # True == 1, but a bool is no machine id.
         (ONE_OP, {True: [(0, 0)]}, "key True is not a machine"),
         (ONE_OP, [(0, 0)], "must be a dict"),
+        (ONE_OP, {0: 5}, "order on machine 0 is not a list"),
         # flex06's op (0, 0) runs on M2 or M3, but not on both.
         (FLEX06, {2: [(0, 0)], 3: [(0, 0)]},
          r"op \(0, 0\) on machines 2 and 3"),
     ], ids=["op-outside", "machine-cannot-run", "cyclic", "listed-twice",
             "string-key", "key-out-of-range", "bool-key", "not-a-dict",
+            "not-a-list",
             "listed-on-two-machines"])
     def test_constraint_outside_instance_rejected(self, inst, order, match):
         with pytest.raises(ValueError, match=match):

@@ -269,6 +269,17 @@ class TestStep:
             env.step_allocation(allocation)
         assert (env.observation(), env.clock, env._free, env.entries) == state
 
+    # True == 1 would run action 1, and 1.0 would fail as a list index.
+    @pytest.mark.parametrize("action", [True, 1.0], ids=["bool", "float"])
+    def test_step_rejects_non_int_action_before_mutating(self, action):
+        env = SchedulingEnv(parse_instance("2 2\n1 2 1 5 2 3\n1 1 2 4\n"))
+        assert len(env.legal_allocations()) > 1
+        state = (env.observation(), env.clock, env._free, env.entries)
+        with pytest.raises(SchedulingError,
+                           match=rf"action {action!r} is not an int"):
+            env.step(action)
+        assert (env.observation(), env.clock, env._free, env.entries) == state
+
     def test_determinism(self, toy):
         results = []
         for _ in range(2):

@@ -1,5 +1,7 @@
 """Estimator-style solver wrappers."""
 
+import re
+
 import pytest
 
 from flexshop.baselines import BaselineConfig, NodeBudgetExceeded
@@ -87,9 +89,28 @@ class TestEstimatorApi:
         (LearnerConfig, "episodes", True),
         (LearnerConfig, "test_interval", 2.5),
         (DivisionConfig, "parts", 2.5),
+        # A rate is an int or a float, never a bool or a string.
+        (LearnerConfig, "alpha", True),
+        (LearnerConfig, "alpha", "0.5"),
+        (LearnerConfig, "epsilon_start", True),
+        (LearnerConfig, "epsilon_min", False),
+        (LearnerConfig, "epsilon_decay", True),
+        (BaselineConfig, "crossover_rate", True),
+        (BaselineConfig, "mutation_rate", True),
+        (BaselineConfig, "mutation_rate", "0.2"),
+        # A seed is an int; None would leave the run unseeded.
+        (LearnerConfig, "seed", 2.5),
+        (LearnerConfig, "seed", True),
+        (BaselineConfig, "seed", None),
+        (LearnerConfig, "time_budget", True),
+        (LearnerConfig, "time_budget", "30"),
+        # A flag is a bool: the string "no" is truthy.
+        (LearnerConfig, "prepopulate", "no"),
+        (LearnerConfig, "include_immediate_reward", 1),
     ])
     def test_config_error_names_the_field(self, config, name, value):
-        with pytest.raises(ValueError, match=rf"^{name} must be .*, got {value}$"):
+        message = rf"^{name} must be .*, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
             config(**{name: value})
 
     def test_params_read_as_attributes(self):
