@@ -35,13 +35,13 @@ def backward_pass(q, trace: EpisodeTrace, include_immediate_reward: bool = False
     value covers the action's own reward as well.
     """
     cumulative = 0
+    keep_max = q.keep_max
     for (obs, action), reward in zip(reversed(trace.pairs), reversed(trace.rewards)):
         if include_immediate_reward:
             cumulative += reward
         # Unseen pairs always take the observed value; the optimistic default
         # of 0 would otherwise block every negative cumulative reward.
-        if not q.has(obs, action) or q.get(obs, action) <= cumulative:
-            q.set(obs, action, cumulative)
+        keep_max(obs, action, cumulative)
         if not include_immediate_reward:
             cumulative += reward
 

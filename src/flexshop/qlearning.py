@@ -19,15 +19,24 @@ from .instance import Instance
 from .prepopulate import EpisodeTrace, backward_pass
 from .schedule import Schedule
 
+_WIDTH = (1 << 32) - 1  # the width bits of a row handle
+
 
 class QTable:
     """Map from (observation, action index) to value; default 0.
 
     All true returns are non-positive, so the default is an optimistic
-    upper bound.  Each observation has one row, an ``array('d')`` of values
-    by action index, grown on `set` to the highest index stored.  A slot
-    never set holds ``+0.0`` and a stored 0 is kept as ``-0.0``: both read
-    as 0 to `get`, `max` and `index`, but `has` tells them apart.
+    upper bound.  All values live in one ``array('d')``, ``_values``.  Each
+    observation's row is a run of slots there, by action index, as wide as
+    the highest index stored so far.  ``_rows`` maps the observation to the
+    row's handle, one int: ``start << 32 | width``.  A row that must grow
+    is copied, wider, to the end of ``_values``; its old slots are left
+    behind as a hole that nothing reads.  So a handle goes stale after any
+    write that can grow its row, and must be looked up again.
+
+    A slot never set holds ``+0.0`` and a stored 0 is kept as ``-0.0``:
+    both read as 0 to `get`, `max_value` and `argmax`, but `has` tells them
+    apart.  Slots past a row read 0 too.
 
     Observations are the environment's packed ``bytes`` (any hashable key
     works).  A ``bytes`` key caches its hash, so the several lookups of one
@@ -35,7 +44,8 @@ class QTable:
     """
 
     def __init__(self):
-        self._rows: dict[bytes, array] = {}
+        self._values = array("d")
+        self._rows: dict[bytes, int] = {}
         self._stored = 0
 
     def __len__(self) -> int:
@@ -43,54 +53,92 @@ class QTable:
         return self._stored
 
     def has(self, obs: bytes, action: int) -> bool:
-        row = self._rows.get(obs)
-        return row is not None and action < len(row) and _is_set(row[action])
+        handle = self._rows.get(obs)
+        return (handle is not None and action < handle & _WIDTH
+                and _is_set(self._values[(handle >> 32) + action]))
 
     def get(self, obs: bytes, action: int) -> float:
-        row = self._rows.get(obs)
-        # Adding +0.0 reads a stored -0.0 as 0.0.
-        return row[action] + 0.0 if row is not None and action < len(row) else 0.0
+        return _get(self._values, self._rows.get(obs), action)
 
     def set(self, obs: bytes, action: int, value: float):
-        row = self._rows.get(obs)
-        if row is None:
-            row = self._rows[obs] = array("d", bytes(8 * (action + 1)))
-        elif action >= len(row):
-            row.frombytes(bytes(8 * (action + 1 - len(row))))
-        if not _is_set(row[action]):
+        self._put(obs, self._rows.get(obs), action, value)
+
+    def keep_max(self, obs: bytes, action: int, value: float):
+        """Store `value` unless the pair already holds a larger one.  An
+        unstored pair always takes it, whatever the default."""
+        handle = self._rows.get(obs)
+        if (handle is None or action >= handle & _WIDTH
+                or not _is_set(old := self._values[(handle >> 32) + action])
+                or old <= value):
+            self._put(obs, handle, action, value)
+
+    def _put(self, obs: bytes, handle: int | None, action: int, value: float):
+        """`set`, given `obs`'s current handle (None when it has no row)."""
+        values = self._values
+        if handle is None or action >= handle & _WIDTH:
+            # Append a zeroed row wide enough for `action`, after a copy of
+            # the old row if there is one.
+            end = len(values)
+            if handle is not None:
+                start = handle >> 32
+                values.extend(values[start:start + (handle & _WIDTH)])
+            values.frombytes(bytes(8 * (end + action + 1 - len(values))))
+            handle = self._rows[obs] = end << 32 | action + 1
+        slot = (handle >> 32) + action
+        if not _is_set(values[slot]):
             self._stored += 1
-        row[action] = value or -0.0
+        values[slot] = value or -0.0
 
     def items(self):
         """((observation, action), value) of every stored pair, rows in
         insertion order and actions ascending."""
-        for obs, row in self._rows.items():
+        values = self._values
+        for obs, handle in self._rows.items():
+            start = handle >> 32
+            row = values[start:start + (handle & _WIDTH)]
             for action, value in enumerate(row):
                 if _is_set(value):
                     yield (obs, action), value + 0.0
 
     def max_value(self, obs: bytes, action_count: int) -> float:
         """Max over the first `action_count` actions; 0 when none stored."""
-        row = self._rows.get(obs)
-        if row is None or action_count == 0:
-            return 0.0
-        if action_count < len(row):
-            row = row[:action_count]
-        best = max(row)
-        # Slots past the row read 0.
-        return best if action_count == len(row) else max(best, 0.0)
+        return _max(self._values, self._rows.get(obs), action_count)
 
     def argmax(self, obs: bytes, action_count: int) -> int:
         """Lowest index of the max over the first `action_count` actions."""
-        row = self._rows.get(obs)
-        if row is None or action_count <= 1:
-            return 0
-        if action_count < len(row):
-            row = row[:action_count]
-        best = max(row)
-        if best < 0 and action_count > len(row):
-            return len(row)  # the first slot past the row reads 0
-        return row.index(best)
+        return _argmax(self._values, self._rows.get(obs), action_count)
+
+
+def _get(values: array, handle: int | None, action: int) -> float:
+    """The value of slot `action` of the row at `handle` (None: no row)."""
+    if handle is None or action >= handle & _WIDTH:
+        return 0.0
+    # Adding +0.0 reads a stored -0.0 as 0.0.
+    return values[(handle >> 32) + action] + 0.0
+
+
+def _max(values: array, handle: int | None, action_count: int) -> float:
+    """Max over the first `action_count` slots of the row at `handle`
+    (None: no row); 0 when `action_count` is 0."""
+    if handle is None or action_count == 0:
+        return 0.0
+    start, width = handle >> 32, handle & _WIDTH
+    best = max(values[start:start + min(action_count, width)])
+    # Slots past the row read 0.
+    return best if action_count <= width else max(best, 0.0)
+
+
+def _argmax(values: array, handle: int | None, action_count: int) -> int:
+    """Lowest index of the max over the first `action_count` slots of the
+    row at `handle` (None: no row)."""
+    if handle is None or action_count <= 1:
+        return 0
+    start, width = handle >> 32, handle & _WIDTH
+    row = values[start:start + min(action_count, width)]
+    best = max(row)
+    if best < 0 and action_count > width:
+        return width  # the first slot past the row reads 0
+    return row.index(best)
 
 
 def _is_set(value: float) -> bool:
@@ -117,8 +165,13 @@ class LearnerConfig:
                 raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0 < self.alpha <= 1:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha!r}")
-        if not 0 <= self.epsilon_min <= self.epsilon_start <= 1:
-            raise ValueError("need 0 <= epsilon_min <= epsilon_start <= 1")
+        if not 0 <= self.epsilon_start <= 1:
+            raise ValueError("epsilon_start must be in [0, 1], "
+                             f"got {self.epsilon_start!r}")
+        if not 0 <= self.epsilon_min <= self.epsilon_start:
+            raise ValueError("epsilon_min must be in [0, epsilon_start] = "
+                             f"[0, {self.epsilon_start!r}], "
+                             f"got {self.epsilon_min!r}")
         if not 0 < self.epsilon_decay <= 1:
             raise ValueError("epsilon_decay must be in (0, 1], "
                              f"got {self.epsilon_decay!r}")
@@ -169,21 +222,40 @@ def update(q: QTable, s: bytes, a: int, r: int,
 
 def _rollout(env: SchedulingEnv, q: QTable, epsilon: float, rng: Random,
              alpha: float) -> tuple[int, EpisodeTrace]:
-    """One learning episode; returns (makespan, trace)."""
+    """One learning episode; returns (makespan, trace).
+
+    Each step is `select_action`, `env.step` and `update` with every row
+    found once: the loop holds the current state's legal list and handle,
+    and after the step looks up the next state's, bootstraps from that
+    handle and writes the current slot.
+    """
+    rows, values = q._rows, q._values
     obs = env.reset()
-    count = len(env.legal_allocations())
+    legal = env.legal_allocations()
+    handle = rows.get(obs)
     pairs: list[tuple[bytes, int]] = []
     rewards: list[int] = []
     done = False
     while not done:
-        action = select_action(q, obs, count, epsilon, rng)
-        result = env.step(action)
-        done = result.done
-        count = 0 if done else len(env.legal_allocations())
-        update(q, obs, action, result.reward, result.observation, count, alpha)
+        if epsilon > 0 and rng.random() < epsilon:
+            action = rng.randrange(len(legal))
+        else:
+            action = _argmax(values, handle, len(legal))
+        # The index comes from `legal`, so `step`'s checks cannot fail.
+        next_obs, reward, done, _ = env._apply(legal[action])
+        if done:
+            next_handle, target = None, reward + 0.0
+        else:
+            legal = env.legal_allocations()
+            next_handle = rows.get(next_obs)
+            target = reward + _max(values, next_handle, len(legal))
+        value = _get(values, handle, action)
+        # The write can move this row, never the next one: every step
+        # changes the observation, so `next_handle` stays valid.
+        q._put(obs, handle, action, value + alpha * (target - value))
         pairs.append((obs, action))
-        rewards.append(result.reward)
-        obs = result.observation
+        rewards.append(reward)
+        obs, handle = next_obs, next_handle
     return env.clock, EpisodeTrace(pairs, rewards)
 
 

@@ -1,5 +1,7 @@
 """Q-table mechanics, action selection, TD updates, and training runs."""
 
+import gc
+import tracemalloc
 from array import array
 from random import Random
 
@@ -8,11 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from flexshop import division
+from flexshop import division, make_solver, qlearning
 from flexshop.data import load_bundled
 from flexshop.division import DivisionConfig, solve_divided
 from flexshop.environment import SchedulingEnv, SchedulingError, StepResult, WAIT
 from flexshop.instance import parse_instance
+from flexshop.prepopulate import EpisodeTrace
 from flexshop.qlearning import (
     LearnerConfig,
     QTable,
@@ -46,6 +49,13 @@ class FlatQTable:
     def set(self, obs, action, value):
         self.table[(obs, action)] = value
 
+    def keep_max(self, obs, action, value):
+        if not self.has(obs, action) or self.get(obs, action) <= value:
+            self.set(obs, action, value)
+
+    def items(self):
+        return self.table.items()
+
     def max_value(self, obs, action_count):
         return max((self.get(obs, a) for a in range(action_count)),
                    default=0.0)
@@ -67,9 +77,11 @@ def stored(q: QTable) -> list:
 VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0, -1.0, -2.0, 3.5]),
                    st.floats(allow_nan=False, allow_infinity=False))
 # Two observations and few actions, so rows are often read with an
-# action count both below and past their length.
+# action count both below and past their length, and a row often grows
+# after the other row was appended, which moves it.
 QTABLE_OPS = st.lists(st.one_of(
-    st.tuples(st.just("set"), st.integers(0, 1), st.integers(0, 4), VALUES),
+    st.tuples(st.sampled_from(["set", "keep_max"]), st.integers(0, 1),
+              st.integers(0, 4), VALUES),
     st.tuples(st.sampled_from(["get", "has"]), st.integers(0, 1),
               st.integers(0, 6)),
     st.tuples(st.sampled_from(["max_value", "argmax"]), st.integers(0, 1),
@@ -87,15 +99,15 @@ class TestQTable:
         for name, *args in ops:
             if args:
                 args[0] = (args[0], -1)  # an observation key
-            if name == "set":
-                q.set(*args)
-                ref.set(*args)
+            if name in ("set", "keep_max"):
+                getattr(q, name)(*args)
+                getattr(ref, name)(*args)
             elif name == "len":
                 assert len(q) == len(ref)
             else:
                 assert getattr(q, name)(*args) == getattr(ref, name)(*args)
         assert len(q) == len(ref)
-        assert stored(q) == sorted(ref.table.items())
+        assert stored(q) == sorted(ref.items())
 
     def test_stored_zero_is_not_unset(self):
         q = QTable()
@@ -146,6 +158,24 @@ class TestQTable:
         q.set(OBS, 0, -5.0)
         q.set(OBS, 1, -1.0)
         assert q.argmax(OBS, 2) == 1
+
+    def test_bytes_per_state(self, ft06):
+        # The rl-bundled ft06 cell.  Every state's entry, key, handle and
+        # slots, holes included, count; the rest of the fit does not.
+        solver = make_solver("rl", episodes=500, test_interval=50, seed=0,
+                             epsilon_decay=0.99, epsilon_min=0.01)
+        tracemalloc.start()
+        try:
+            solver.fit(ft06)
+            states = len({obs for (obs, _), _ in solver.report_.q.items()})
+            gc.collect()
+            with_q = tracemalloc.get_traced_memory()[0]
+            solver.report_.q = None
+            gc.collect()
+            without_q = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (with_q - without_q) / states <= 160
 
 
 class TestSelectAction:
@@ -346,3 +376,89 @@ class TestPackedObservation:
         assert len(packed_reports) == len(reference_reports) == 2
         for p, r in zip(packed_reports, reference_reports):
             assert_same_training(p, r, "b")
+
+
+def reference_rollout(env, q, epsilon, rng, alpha):
+    """The learner's episode as separate calls: `select_action`, `step`
+    and `update`, with a second legal-list lookup per step."""
+    obs = env.reset()
+    count = len(env.legal_allocations())
+    pairs, rewards = [], []
+    done = False
+    while not done:
+        action = select_action(q, obs, count, epsilon, rng)
+        result = env.step(action)
+        done = result.done
+        count = 0 if done else len(env.legal_allocations())
+        update(q, obs, action, result.reward, result.observation, count, alpha)
+        pairs.append((obs, action))
+        rewards.append(result.reward)
+        obs = result.observation
+    return env.clock, EpisodeTrace(pairs, rewards)
+
+
+def reference_backward_pass(q, trace, include_immediate_reward=False):
+    """The backward pass through `has`, `get` and `set`."""
+    cumulative = 0
+    for (obs, action), reward in zip(reversed(trace.pairs),
+                                     reversed(trace.rewards)):
+        if include_immediate_reward:
+            cumulative += reward
+        if not q.has(obs, action) or q.get(obs, action) <= cumulative:
+            q.set(obs, action, cumulative)
+        if not include_immediate_reward:
+            cumulative += reward
+
+
+def as_reference(monkeypatch):
+    """Make `train` run the reference episode and backward pass over a
+    `FlatQTable`."""
+    monkeypatch.setattr(qlearning, "_rollout", reference_rollout)
+    monkeypatch.setattr(qlearning, "backward_pass", reference_backward_pass)
+    monkeypatch.setattr(qlearning, "QTable", FlatQTable)
+
+
+def assert_same_learning(fused, reference):
+    assert fused.best_schedule == reference.best_schedule
+    assert fused.episode_makespans == reference.episode_makespans
+    assert fused.test_makespans == reference.test_makespans
+    assert stored(fused.q) == sorted(reference.q.items())
+
+
+FUSED_CFG = dict(episodes=200, test_interval=50, seed=0, epsilon_decay=0.99,
+                 epsilon_min=0.01)
+
+
+class TestFusedRollout:
+    """The learner's fused episode over one-lookup rows matches the
+    reference episode over a dict per pair."""
+
+    @pytest.mark.parametrize("name", ["toy2x3", "ft06", "flex06", "la05"])
+    def test_bundled(self, name, monkeypatch):
+        inst = load_bundled(name)
+        cfg = LearnerConfig(**FUSED_CFG)
+        fused = train(inst, cfg)
+        as_reference(monkeypatch)
+        assert_same_learning(fused, train(inst, cfg))
+
+    def test_tiny_instances(self, monkeypatch):
+        cases = []
+        for seed in range(60):
+            cfg = LearnerConfig(**dict(FUSED_CFG, seed=seed),
+                                include_immediate_reward=seed % 2 == 1)
+            cases.append((tiny_instance(seed), cfg))
+        fused = [train(inst, cfg) for inst, cfg in cases]
+        as_reference(monkeypatch)
+        for report, (inst, cfg) in zip(fused, cases):
+            assert_same_learning(report, train(inst, cfg))
+
+    def test_divided_stages(self, la05, monkeypatch):
+        # Stage 2 runs under stage 1's machine order.
+        cfg = DivisionConfig(**FUSED_CFG, parts=2)
+        fused, fused_reports = solve_divided(la05, cfg)
+        as_reference(monkeypatch)
+        reference, reference_reports = solve_divided(la05, cfg)
+        assert fused == reference
+        assert len(fused_reports) == len(reference_reports) == 2
+        for f, r in zip(fused_reports, reference_reports):
+            assert_same_learning(f, r)

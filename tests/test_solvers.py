@@ -1,6 +1,7 @@
 """Estimator-style solver wrappers."""
 
 import re
+from functools import partial
 
 import pytest
 
@@ -107,6 +108,12 @@ class TestEstimatorApi:
         # A flag is a bool: the string "no" is truthy.
         (LearnerConfig, "prepopulate", "no"),
         (LearnerConfig, "include_immediate_reward", 1),
+        # The epsilon bounds name the other field and its value.
+        (LearnerConfig, "epsilon_start", 1.5),
+        (LearnerConfig, "epsilon_min", -0.25),
+        pytest.param(partial(LearnerConfig, epsilon_start=0.5),
+                     "epsilon_min", 0.9,
+                     id="LearnerConfig(epsilon_start=0.5)-epsilon_min-0.9"),
     ])
     def test_config_error_names_the_field(self, config, name, value):
         message = rf"^{name} must be .*, got {re.escape(repr(value))}$"
