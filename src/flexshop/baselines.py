@@ -8,7 +8,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from random import Random
 
-from .environment import IDLE, SchedulingEnv, WAIT
+from .environment import IDLE, WAIT, Allocation, SchedulingEnv
 from .instance import DURATION_MODES, DurationMode, Instance
 from .schedule import Schedule, ScheduleEntry
 
@@ -55,7 +55,8 @@ def random_sampling(inst: Instance, cfg: BaselineConfig) -> Schedule:
     for _ in range(cfg.episodes):
         env.reset()
         while not env.done:
-            env.step(rng.randrange(len(env.legal_allocations())))
+            legal = env.legal_allocations()
+            env._apply(legal[rng.randrange(len(legal))])
         # At a terminal state the clock is the makespan, so a schedule is
         # built only for an improving episode.
         if best is None or env.clock < best.makespan:
@@ -302,8 +303,9 @@ def exhaustive_oracle(inst: Instance, cfg: BaselineConfig | None = None
     # A dispatching-rule schedule seeds the incumbent upper bound.
     best = mwkr(inst)
     nodes = 0
-    # Per expanded node: the node and an iterator over its unvisited actions.
-    stack: list[tuple[SchedulingEnv, Iterator[int]]] = []
+    # Per expanded node: the node and an iterator over its unvisited
+    # allocations, in action-index order.
+    stack: list[tuple[SchedulingEnv, Iterator[Allocation]]] = []
 
     def enter(env: SchedulingEnv):
         nonlocal best, nodes
@@ -318,16 +320,16 @@ def exhaustive_oracle(inst: Instance, cfg: BaselineConfig | None = None
             if env.clock < best.makespan:
                 best = env.extract_schedule()
         elif lower_bound(env, min_remaining, pinned) < best.makespan:
-            stack.append((env, iter(range(len(env.legal_allocations())))))
+            stack.append((env, iter(env.legal_allocations())))
 
     enter(SchedulingEnv(inst))
     while stack:
-        env, actions = stack[-1]
-        action = next(actions, None)
-        if action is None:
+        env, allocations = stack[-1]
+        allocation = next(allocations, None)
+        if allocation is None:
             stack.pop()
         else:
             child = env.clone()
-            child.step(action)
+            child._apply(allocation)
             enter(child)
     return best

@@ -11,7 +11,7 @@ cyclic and a stage is never re-solved without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -118,8 +118,11 @@ def get_best_policy(inst: Instance, prev: MachineOrder | None,
 def solve_divided(inst: Instance, cfg: DivisionConfig
                   ) -> tuple[Schedule, list[TrainingReport]]:
     """Incremental solve over the split plan; returns the full-instance
-    schedule and the per-stage training reports."""
+    schedule and the per-stage training reports.  `cfg.time_budget`
+    bounds the whole solve: each stage gets an equal share."""
     plan = split(inst, cfg)
+    if cfg.time_budget is not None:
+        cfg = replace(cfg, time_budget=cfg.time_budget / cfg.parts)
     order: MachineOrder | None = None
     reports: list[TrainingReport] = []
     for k in range(1, cfg.parts + 1):

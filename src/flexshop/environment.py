@@ -55,11 +55,10 @@ class SchedulingEnv:
     job's option mask at once.  `_option_masks` unpacks it for
     `legal_allocations` and the dispatching rules.
 
-    Legal allocations are cached at two levels.  ``_legal`` is the current
-    state's list, ``None`` after each state change.  ``_memo`` maps an
-    option signature (`_signature`) to its list, and ``_interned`` makes
-    equal vectors of different signatures one tuple.  `clone` shares all
-    three.
+    Legal allocations are cached at one level: ``_memo`` maps an option
+    signature (`_signature`) to its list, and ``_interned`` makes equal
+    vectors of different signatures one tuple.  `clone` shares both.  The
+    package's loops hold the list they looked up and step with `_apply`.
 
     ``job_op`` and ``job_machine`` are ``array``s of typecode ``"b"`` (signed
     byte, which holds ``IDLE``) while the machine count and every job's
@@ -178,13 +177,12 @@ class SchedulingEnv:
         self._unfinished = inst.job_count
         self._free = self._all_free
         self._ready = self._root_ready
-        self._legal = None
         return self.observation()
 
     def clone(self) -> "SchedulingEnv":
         other = self.__class__.__new__(self.__class__)
-        # Tables, scalars and the legal list are shared: the list is
-        # replaced, never mutated.  The mutable arrays are copied.
+        # Tables, scalars and the memo are shared.  The mutable arrays are
+        # copied.
         other.__dict__.update(self.__dict__)
         other.job_op = self.job_op[:]
         other.job_machine = self.job_machine[:]
@@ -229,8 +227,6 @@ class SchedulingEnv:
         Every state of one option signature gets the same list object, so
         callers must not mutate it.
         """
-        if self._legal is not None:  # never set in the terminal state
-            return self._legal
         if self.done:
             raise SchedulingError("legal_allocations on terminal state")
         # The option masks and the all-idle flag fix the list, so states
@@ -240,7 +236,6 @@ class SchedulingEnv:
         if result is None:
             result = self._memo[signature] = self._enumerate(
                 self._option_masks(), self._free == self._all_free)
-        self._legal = result
         return result
 
     def _enumerate(self, masks: list[int], all_idle: bool) -> list[Allocation]:
@@ -347,7 +342,6 @@ class SchedulingEnv:
                 ready ^= lanes[job][op]  # set: the job was idle and ready
                 log.append((job, op, machine, clock, clock + duration))
         force_advance = free == self._free  # a pure wait
-        self._legal = None
 
         # Skip intermediate states: advance to assignment completions until a
         # non-wait action exists or the episode ends.  A pure-wait action

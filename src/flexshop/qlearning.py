@@ -35,8 +35,12 @@ class QTable:
     write that can grow its row, and must be looked up again.
 
     A slot never set holds ``+0.0`` and a stored 0 is kept as ``-0.0``:
-    both read as 0 to `get`, `max_value` and `argmax`, but `has` tells them
-    apart.  Slots past a row read 0 too.
+    both read as 0, but only the stored one counts in `len` and `items`.
+    Slots past a row read 0 too.
+
+    The public methods are `len`, `get`, `keep_max` and `items`.  The
+    learner reads and writes rows through handles, with the module's
+    `_get`, `_max`, `_argmax` and `_put`.
 
     Observations are the environment's packed ``bytes`` (any hashable key
     works).  A ``bytes`` key caches its hash, so the several lookups of one
@@ -52,16 +56,8 @@ class QTable:
         """Number of stored (observation, action) pairs."""
         return self._stored
 
-    def has(self, obs: bytes, action: int) -> bool:
-        handle = self._rows.get(obs)
-        return (handle is not None and action < handle & _WIDTH
-                and _is_set(self._values[(handle >> 32) + action]))
-
     def get(self, obs: bytes, action: int) -> float:
         return _get(self._values, self._rows.get(obs), action)
-
-    def set(self, obs: bytes, action: int, value: float):
-        self._put(obs, self._rows.get(obs), action, value)
 
     def keep_max(self, obs: bytes, action: int, value: float):
         """Store `value` unless the pair already holds a larger one.  An
@@ -73,7 +69,8 @@ class QTable:
             self._put(obs, handle, action, value)
 
     def _put(self, obs: bytes, handle: int | None, action: int, value: float):
-        """`set`, given `obs`'s current handle (None when it has no row)."""
+        """Store `value` for (`obs`, `action`), given `obs`'s current handle
+        (None when it has no row)."""
         values = self._values
         if handle is None or action >= handle & _WIDTH:
             # Append a zeroed row wide enough for `action`, after a copy of
@@ -99,14 +96,6 @@ class QTable:
             for action, value in enumerate(row):
                 if _is_set(value):
                     yield (obs, action), value + 0.0
-
-    def max_value(self, obs: bytes, action_count: int) -> float:
-        """Max over the first `action_count` actions; 0 when none stored."""
-        return _max(self._values, self._rows.get(obs), action_count)
-
-    def argmax(self, obs: bytes, action_count: int) -> int:
-        """Lowest index of the max over the first `action_count` actions."""
-        return _argmax(self._values, self._rows.get(obs), action_count)
 
 
 def _get(values: array, handle: int | None, action: int) -> float:
@@ -209,25 +198,28 @@ def select_action(q: QTable, obs: bytes, legal_count: int,
         raise ValueError("no legal actions to select from")
     if epsilon > 0 and rng.random() < epsilon:
         return rng.randrange(legal_count)
-    return q.argmax(obs, legal_count)
+    return _argmax(q._values, q._rows.get(obs), legal_count)
 
 
 def update(q: QTable, s: bytes, a: int, r: int,
            s_next: bytes, next_legal_count: int, alpha: float):
     """One-step temporal-difference update; terminal bootstrap is 0."""
-    target = r + q.max_value(s_next, next_legal_count)
-    value = q.get(s, a)
-    q.set(s, a, value + alpha * (target - value))
+    rows, values = q._rows, q._values
+    target = r + _max(values, rows.get(s_next), next_legal_count)
+    handle = rows.get(s)
+    value = _get(values, handle, a)
+    q._put(s, handle, a, value + alpha * (target - value))
 
 
 def _rollout(env: SchedulingEnv, q: QTable, epsilon: float, rng: Random,
              alpha: float) -> tuple[int, EpisodeTrace]:
     """One learning episode; returns (makespan, trace).
 
-    Each step is `select_action`, `env.step` and `update` with every row
-    found once: the loop holds the current state's legal list and handle,
-    and after the step looks up the next state's, bootstraps from that
-    handle and writes the current slot.
+    Each step does what `select_action`, `SchedulingEnv.step` and `update`
+    do, with each legal list and row found once: the loop holds the
+    current state's list and handle, steps with `env._apply` on the
+    chosen allocation, then looks up the next state's list and handle,
+    bootstraps from that handle and writes the current slot.
     """
     rows, values = q._rows, q._values
     obs = env.reset()
@@ -266,6 +258,7 @@ def _greedy(env: SchedulingEnv, q: QTable) -> int:
     episode that has not ended in twice the operation count is an
     environment fault, raised as :class:`SchedulingError`.
     """
+    rows, values = q._rows, q._values
     obs = env.reset()
     limit = 2 * env.instance.total_operations
     steps = 0
@@ -274,7 +267,9 @@ def _greedy(env: SchedulingEnv, q: QTable) -> int:
             raise SchedulingError(f"greedy episode on {env.instance.name} "
                                   f"did not end in {limit} steps")
         steps += 1
-        obs = env.step(q.argmax(obs, len(env.legal_allocations()))).observation
+        legal = env.legal_allocations()
+        obs = env._apply(
+            legal[_argmax(values, rows.get(obs), len(legal))]).observation
     return env.clock
 
 

@@ -21,6 +21,7 @@ from flexshop.baselines import (
     mwkr,
     random_sampling,
 )
+from flexshop.data import load_bundled
 from flexshop.environment import IDLE, SchedulingEnv, WAIT
 from flexshop.instance import Instance, JobSpec, OperationSpec, parse_instance
 from flexshop.schedule import Schedule, ScheduleEntry, validate_schedule
@@ -226,6 +227,21 @@ def reference_oracle(inst: Instance) -> Schedule:
     return best
 
 
+def reference_random_sampling(inst: Instance, cfg: BaselineConfig) -> Schedule:
+    """Random sampling through `step`, with a second legal-list lookup per
+    step."""
+    rng = Random(cfg.seed)
+    env = SchedulingEnv(inst)
+    best = None
+    for _ in range(cfg.episodes):
+        env.reset()
+        while not env.done:
+            env.step(rng.randrange(len(env.legal_allocations())))
+        if best is None or env.clock < best.makespan:
+            best = env.extract_schedule()
+    return best
+
+
 def brute_force_makespan(env: SchedulingEnv, memo: dict) -> int:
     """Best makespan reachable from `env` by an unpruned search over every
     legal action.  `memo` maps a state to its best remaining time; the
@@ -290,6 +306,20 @@ class TestRandomSampling:
         opt = exhaustive_oracle(toy).makespan
         best = random_sampling(toy, BaselineConfig(episodes=10_000, seed=0))
         assert best.makespan == opt
+
+    def test_matches_reference_on_tiny_instances(self):
+        for seed in range(50):
+            inst = tiny_instance(seed)
+            cfg = BaselineConfig(episodes=100, seed=seed)
+            assert random_sampling(inst, cfg) == \
+                reference_random_sampling(inst, cfg), seed
+
+    @pytest.mark.parametrize("name", ["toy2x3", "ft06", "flex06", "la05"])
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_matches_reference_on_bundled(self, name, seed):
+        inst = load_bundled(name)
+        cfg = BaselineConfig(episodes=300, seed=seed)
+        assert random_sampling(inst, cfg) == reference_random_sampling(inst, cfg)
 
 
 class TestDispatchRules:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flexshop import division
 from flexshop.baselines import BaselineConfig, mwkr
 from flexshop.data import load_bundled
 from flexshop.division import (
@@ -20,7 +21,7 @@ from flexshop.division import (
 )
 from flexshop.environment import WAIT, SchedulingEnv
 from flexshop.instance import OperationSpec, parse_instance
-from flexshop.qlearning import LearnerConfig
+from flexshop.qlearning import LearnerConfig, train
 from flexshop.schedule import validate_schedule
 
 from conftest import tiny_instance
@@ -315,6 +316,25 @@ class TestSolveDivided:
         c2 = machine_order(sched)
         assert {op for ops in c1.values() for op in ops} <= \
             {op for ops in c2.values() for op in ops}
+
+    @pytest.mark.parametrize("budget, parts, shares", [
+        (None, 2, [None, None]),
+        (1.5, 3, [0.5, 0.5, 0.5]),
+    ])
+    def test_time_budget_is_shared_by_the_stages(self, la05, monkeypatch,
+                                                 budget, parts, shares):
+        seen = []
+
+        def recording_train(env, cfg):
+            seen.append(cfg.time_budget)
+            return train(env, cfg)
+
+        monkeypatch.setattr(division, "train", recording_train)
+        cfg = DivisionConfig(episodes=5, seed=0, time_budget=budget,
+                             parts=parts)
+        solve_divided(la05, cfg)
+        assert seen == shares
+        assert cfg.time_budget == budget  # the caller's config is unchanged
 
     def test_random_instances_validate(self):
         count = 0

@@ -30,12 +30,10 @@ from test_environment import WIDE
 
 
 class ReferenceEnv(SchedulingEnv):
-    """Reference environment: every fresh state rescans the jobs' options,
+    """Reference environment: every lookup rescans the jobs' options,
     machine-order rule included, and enumerates its own list."""
 
     def legal_allocations(self):
-        if self._legal is not None:
-            return self._legal
         if self.done:
             raise SchedulingError("legal_allocations on terminal state")
         partials = [((), 0)]  # (prefix, used machines)
@@ -57,7 +55,6 @@ class ReferenceEnv(SchedulingEnv):
         result = [prefix + tail for prefix, _ in partials]
         if self._free == self._all_free:
             result.pop()
-        self._legal = result
         return result
 
 
@@ -71,7 +68,6 @@ def reference_list(env: SchedulingEnv) -> list[tuple[int, ...]]:
     as it was."""
     ref = ReferenceEnv.__new__(ReferenceEnv)
     ref.__dict__.update(env.__dict__)
-    ref._legal = None
     return ref.legal_allocations()
 
 
@@ -123,9 +119,8 @@ def walk_checking_memo(env: SchedulingEnv, rng: Random):
         assert legal == reference_list(env)
         assert by_signature.setdefault(signature, legal) is legal
         assert env._memo[env._signature()] is legal
-        # A clone shares the memo; its fresh lookup finds the same list.
+        # A clone shares the memo; its lookup finds the same list.
         twin = env.clone()
-        twin._legal = None
         assert twin.legal_allocations() is legal
         env.step(rng.randrange(len(legal)))
     pytest.fail(f"walk on {env.instance.name} passed {cap} steps")

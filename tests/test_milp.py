@@ -7,8 +7,8 @@ of operations of different jobs that share a machine, the job chains, and
 a makespan C at least each job's end and each machine's load.  HiGHS
 solves it through scipy, which only the tests use.
 
-flex06 (47) and la05 (572) are left out: on a 2-CPU host their proofs
-took 7-11 s and 8 s.
+flex06 (47) and la05 (572) need no MILP: each equals a bound read off
+the instance, which `test_pinned_optimum_equals_a_bound` asserts.
 """
 
 import math
@@ -128,6 +128,34 @@ def test_proves_pinned_optimum(name, makespan):
     # No schedule beats the dual bound, so the makespan is optimal.
     assert math.ceil(result.mip_dual_bound - 1e-6) == makespan
     assert root_bound(inst) <= makespan
+
+
+def chain_bound(inst: Instance) -> int:
+    """The longest job's chain of minimum durations."""
+    return max(sum(op.min_duration() for op in job.operations)
+               for job in inst.jobs)
+
+
+def load_bound(inst: Instance) -> int:
+    """The heaviest machine load of the operations only it can run."""
+    load = [0] * inst.machine_count
+    for job in inst.jobs:
+        for op in job.operations:
+            if len(op.alternatives) == 1:
+                (machine, duration), = op.alternatives.items()
+                load[machine] += duration
+    return max(load)
+
+
+@pytest.mark.parametrize("name, makespan, bound", [
+    ("toy2x3", 58, chain_bound),
+    ("flex06", 47, chain_bound),
+    ("la05", 572, load_bound),
+], ids=["toy2x3", "flex06", "la05"])
+def test_pinned_optimum_equals_a_bound(name, makespan, bound):
+    # No schedule ends before either bound, and the pin is a makespan the
+    # solvers reach, so the pin is optimal.
+    assert bound(load_bundled(name)) == makespan
 
 
 def test_model_without_job_chains_is_caught():

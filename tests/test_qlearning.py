@@ -19,6 +19,8 @@ from flexshop.prepopulate import EpisodeTrace
 from flexshop.qlearning import (
     LearnerConfig,
     QTable,
+    _argmax,
+    _max,
     greedy_rollout,
     select_action,
     train,
@@ -74,6 +76,11 @@ def stored(q: QTable) -> list:
     return sorted(q.items(), key=lambda item: item[0])
 
 
+def row(q: QTable, obs) -> tuple:
+    """The (values, handle) pair `_max` and `_argmax` read `obs`'s row by."""
+    return q._values, q._rows.get(obs)
+
+
 VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0, -1.0, -2.0, 3.5]),
                    st.floats(allow_nan=False, allow_infinity=False))
 # Two observations and few actions, so rows are often read with an
@@ -95,69 +102,79 @@ class TestQTable:
     @example([("set", 0, 0, -2.0), ("argmax", 0, 3), ("max_value", 0, 3)])
     @settings(max_examples=300, deadline=None)
     def test_matches_flat_reference(self, ops):
+        # QTable has no `set`, `has`, `max_value` or `argmax`; each is
+        # checked through what the learner uses instead.
         q, ref = QTable(), FlatQTable()
         for name, *args in ops:
             if args:
                 args[0] = (args[0], -1)  # an observation key
-            if name in ("set", "keep_max"):
-                getattr(q, name)(*args)
-                getattr(ref, name)(*args)
+            if name == "set":
+                obs, action, value = args
+                q._put(obs, q._rows.get(obs), action, value)
+                ref.set(*args)
+            elif name == "keep_max":
+                q.keep_max(*args)
+                ref.keep_max(*args)
             elif name == "len":
                 assert len(q) == len(ref)
+            elif name == "has":
+                assert (tuple(args) in dict(q.items())) == ref.has(*args)
+            elif name == "get":
+                assert q.get(*args) == ref.get(*args)
             else:
-                assert getattr(q, name)(*args) == getattr(ref, name)(*args)
+                obs, count = args
+                fast = _max if name == "max_value" else _argmax
+                assert fast(*row(q, obs), count) == getattr(ref, name)(*args)
         assert len(q) == len(ref)
         assert stored(q) == sorted(ref.items())
 
     def test_stored_zero_is_not_unset(self):
         q = QTable()
-        q.set(OBS, 2, 0.0)
-        q.set(OBS, 3, -0.0)
-        assert not q.has(OBS, 0) and not q.has(OBS, 1)
-        assert q.has(OBS, 2) and q.has(OBS, 3)
+        q.keep_max(OBS, 2, 0.0)
+        q.keep_max(OBS, 3, -0.0)
         assert len(q) == 2
         assert stored(q) == [((OBS, 2), 0.0), ((OBS, 3), 0.0)]
 
     def test_default_zero(self):
         q = QTable()
         assert q.get(OBS, 0) == 0.0
-        assert not q.has(OBS, 0)
+        assert len(q) == 0 and list(q.items()) == []
 
     def test_set_get(self):
         q = QTable()
-        q.set(OBS, 1, -7.5)
+        q.keep_max(OBS, 1, -7.5)
         assert q.get(OBS, 1) == -7.5
-        assert q.has(OBS, 1)
+        assert list(q.items()) == [((OBS, 1), -7.5)]
 
     def test_max_value_with_unseen_gap(self):
         q = QTable()
-        q.set(OBS, 0, -3.0)
-        q.set(OBS, 2, -9.0)
+        q.keep_max(OBS, 0, -3.0)
+        q.keep_max(OBS, 2, -9.0)
         # Action 1 is unseen and defaults to the optimistic 0.
-        assert q.max_value(OBS, 3) == 0.0
-        assert q.max_value(OBS, 1) == -3.0
+        assert _max(*row(q, OBS), 3) == 0.0
+        assert _max(*row(q, OBS), 1) == -3.0
 
     def test_unset_slots_past_the_row(self):
         q = QTable()
-        q.set(OBS, 0, -5.0)
-        q.set(OBS, 1, -1.0)
+        q.keep_max(OBS, 0, -5.0)
+        q.keep_max(OBS, 1, -1.0)
         # Action 2 is past the stored row and defaults to the optimistic 0.
-        assert q.argmax(OBS, 3) == 2
-        assert q.max_value(OBS, 3) == 0.0
-        assert q.argmax(OBS, 2) == 1
-        assert q.max_value(OBS, 2) == -1.0
+        assert _argmax(*row(q, OBS), 3) == 2
+        assert _max(*row(q, OBS), 3) == 0.0
+        assert _argmax(*row(q, OBS), 2) == 1
+        assert _max(*row(q, OBS), 2) == -1.0
 
     def test_argmax_lowest_index_tie(self):
         q = QTable()
-        q.set(OBS, 0, -2.0)
-        q.set(OBS, 1, -2.0)
-        assert q.argmax(OBS, 2) == 0
+        q.keep_max(OBS, 0, -2.0)
+        q.keep_max(OBS, 1, -2.0)
+        assert _argmax(*row(q, OBS), 2) == 0
 
     def test_argmax_prefers_higher(self):
         q = QTable()
-        q.set(OBS, 0, -5.0)
-        q.set(OBS, 1, -1.0)
-        assert q.argmax(OBS, 2) == 1
+        q.keep_max(OBS, 0, -5.0)
+        q.keep_max(OBS, 1, -1.0)
+        assert _argmax(*row(q, OBS), 2) == 1
 
     def test_bytes_per_state(self, ft06):
         # The rl-bundled ft06 cell.  Every state's entry, key, handle and
@@ -181,7 +198,7 @@ class TestQTable:
 class TestSelectAction:
     def test_epsilon_zero_is_greedy_and_rng_untouched(self):
         q = QTable()
-        q.set(OBS, 1, 5.0)  # value sign irrelevant to selection mechanics
+        q.keep_max(OBS, 1, 5.0)  # value sign irrelevant to selection mechanics
         rng = Random(0)
         state = rng.getstate()
         assert select_action(q, OBS, 3, 0.0, rng) == 1
@@ -203,7 +220,7 @@ class TestUpdate:
     def test_td_arithmetic(self):
         q = QTable()
         nxt = (0, -1, 1, 0)
-        q.set(nxt, 0, -4.0)
+        q.keep_max(nxt, 0, -4.0)
         update(q, OBS, 0, -2, nxt, 1, alpha=0.5)
         # target = -2 + (-4) = -6; new = 0 + 0.5 * (-6 - 0) = -3
         assert q.get(OBS, 0) == -3.0
@@ -274,7 +291,7 @@ class TestTrain:
         root = env.observation()
         n_actions = len(env.legal_allocations())
         assert report.best_schedule.makespan == opt
-        assert report.q.max_value(root, n_actions) == -opt
+        assert _max(*row(report.q, root), n_actions) == -opt
 
     def test_time_budget_stops_early(self, ft06):
         report = train(ft06, LearnerConfig(episodes=1_000_000, time_budget=2.0))
@@ -326,10 +343,10 @@ class TestGreedyRollout:
         # Start job 0 alone, then prefer the pure wait over starting job 1.
         root = env.reset()
         assert env.legal_allocations()[1] == (0, WAIT)
-        q.set(root, 0, -1.0)
+        q.keep_max(root, 0, -1.0)
         env.step(1)
         assert env.legal_allocations() == [(WAIT, 1), (WAIT, WAIT)]
-        q.set(env.observation(), 0, -1.0)
+        q.keep_max(env.observation(), 0, -1.0)
         with pytest.raises(SchedulingError, match="stalls.*4 steps"):
             greedy_rollout(env, q)
 
@@ -378,19 +395,35 @@ class TestPackedObservation:
             assert_same_training(p, r, "b")
 
 
+def reference_select_action(q, obs, legal_count, epsilon, rng):
+    """Epsilon-greedy through the reference table's `argmax`."""
+    if epsilon > 0 and rng.random() < epsilon:
+        return rng.randrange(legal_count)
+    return q.argmax(obs, legal_count)
+
+
+def reference_update(q, s, a, r, s_next, next_legal_count, alpha):
+    """The TD update through the reference table's `max_value`, `get` and
+    `set`."""
+    target = r + q.max_value(s_next, next_legal_count)
+    value = q.get(s, a)
+    q.set(s, a, value + alpha * (target - value))
+
+
 def reference_rollout(env, q, epsilon, rng, alpha):
-    """The learner's episode as separate calls: `select_action`, `step`
-    and `update`, with a second legal-list lookup per step."""
+    """The learner's episode as separate calls: select, `step` and
+    update, with a second legal-list lookup per step."""
     obs = env.reset()
     count = len(env.legal_allocations())
     pairs, rewards = [], []
     done = False
     while not done:
-        action = select_action(q, obs, count, epsilon, rng)
+        action = reference_select_action(q, obs, count, epsilon, rng)
         result = env.step(action)
         done = result.done
         count = 0 if done else len(env.legal_allocations())
-        update(q, obs, action, result.reward, result.observation, count, alpha)
+        reference_update(q, obs, action, result.reward, result.observation,
+                         count, alpha)
         pairs.append((obs, action))
         rewards.append(result.reward)
         obs = result.observation
@@ -410,10 +443,26 @@ def reference_backward_pass(q, trace, include_immediate_reward=False):
             cumulative += reward
 
 
+def reference_greedy(env, q):
+    """The greedy test through `argmax` and `step`, with a second
+    legal-list lookup per step."""
+    obs = env.reset()
+    limit = 2 * env.instance.total_operations
+    steps = 0
+    while not env.done:
+        if steps == limit:
+            raise SchedulingError(f"greedy episode on {env.instance.name} "
+                                  f"did not end in {limit} steps")
+        steps += 1
+        obs = env.step(q.argmax(obs, len(env.legal_allocations()))).observation
+    return env.clock
+
+
 def as_reference(monkeypatch):
-    """Make `train` run the reference episode and backward pass over a
-    `FlatQTable`."""
+    """Make `train` run the reference episode, greedy test and backward
+    pass over a `FlatQTable`."""
     monkeypatch.setattr(qlearning, "_rollout", reference_rollout)
+    monkeypatch.setattr(qlearning, "_greedy", reference_greedy)
     monkeypatch.setattr(qlearning, "backward_pass", reference_backward_pass)
     monkeypatch.setattr(qlearning, "QTable", FlatQTable)
 
