@@ -33,7 +33,7 @@ class Schedule:
 @dataclass(frozen=True)
 class Violation:
     kind: str  # job-overlap | machine-overlap | interruption | precedence |
-    #            completeness | capability | negative-start
+    #            completeness | capability | negative-start | makespan
     message: str
 
 
@@ -43,80 +43,55 @@ def validate_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
     Returns an empty list iff the schedule is valid: every operation appears
     exactly once, starts at time 0 or later, runs uninterrupted for its
     machine's duration on a capable machine, same-job operations neither
-    overlap nor break precedence order, and no machine runs two operations
-    at once.  Machine idleness is allowed and never flagged.
+    overlap nor break precedence order, no machine runs two operations at
+    once, and `sched.makespan` is the latest end.  Machine idleness is
+    allowed and never flagged.
+
+    Each job's chain is walked once in op order, and each present entry is
+    compared with the job's previous present one.  Durations are at least 1,
+    so when every interval matches its duration, adjacent pairs in order
+    imply that all pairs are; a job with several faults reports adjacent
+    pairs only.
     """
     violations: list[Violation] = []
 
+    def flag(kind: str, message: str) -> None:
+        violations.append(Violation(kind, message))
+
     seen: dict[tuple[int, int], ScheduleEntry] = {}
     for e in sched.entries:
-        if not (0 <= e.job < inst.job_count) or not (
-            0 <= e.op < len(inst.jobs[e.job])
-        ):
-            violations.append(
-                Violation("completeness", f"unknown operation (job {e.job}, op {e.op})")
-            )
-            continue
-        if (e.job, e.op) in seen:
-            violations.append(
-                Violation("completeness", f"duplicate entry for job {e.job} op {e.op}")
-            )
-            continue
-        seen[(e.job, e.op)] = e
+        if not (0 <= e.job < inst.job_count and 0 <= e.op < len(inst.jobs[e.job])):
+            flag("completeness", f"unknown operation (job {e.job}, op {e.op})")
+        elif (key := (e.job, e.op)) in seen:
+            flag("completeness", f"duplicate entry for job {e.job} op {e.op}")
+        else:
+            seen[key] = e
 
     for j, job in enumerate(inst.jobs):
-        for o in range(len(job)):
-            if (j, o) not in seen:
-                violations.append(
-                    Violation("completeness", f"missing entry for job {j} op {o}")
-                )
-
-    for (j, o), e in seen.items():
-        if e.start < 0:
-            violations.append(
-                Violation("negative-start", f"job {j} op {o}: starts at {e.start}")
-            )
-        op = inst.jobs[j].operations[o]
-        if e.machine not in op.alternatives:
-            violations.append(
-                Violation(
-                    "capability",
-                    f"job {j} op {o}: machine {e.machine} cannot run this operation",
-                )
-            )
-        elif e.end - e.start != op.alternatives[e.machine]:
-            violations.append(
-                Violation(
-                    "interruption",
-                    f"job {j} op {o}: interval [{e.start},{e.end}) does not match "
-                    f"duration {op.alternatives[e.machine]} on machine {e.machine}",
-                )
-            )
-
-    # Same-job checks: overlap and precedence order.
-    by_job: dict[int, list[ScheduleEntry]] = {}
-    for (j, _), e in seen.items():
-        by_job.setdefault(j, []).append(e)
-    for j, entries in by_job.items():
-        entries.sort(key=lambda e: e.op)
-        for i in range(len(entries)):
-            for k in range(i + 1, len(entries)):
-                a, b = entries[i], entries[k]  # a.op < b.op
-                if b.start < a.start:
-                    violations.append(
-                        Violation(
-                            "precedence",
-                            f"job {j}: op {b.op} starts at {b.start} before op "
-                            f"{a.op} starts at {a.start}",
-                        )
-                    )
-                elif b.start < a.end:
-                    violations.append(
-                        Violation(
-                            "job-overlap",
-                            f"job {j}: ops {a.op} and {b.op} run simultaneously",
-                        )
-                    )
+        prev = None
+        for o, op in enumerate(job.operations):
+            e = seen.get((j, o))
+            if e is None:
+                flag("completeness", f"missing entry for job {j} op {o}")
+                continue
+            if e.start < 0:
+                flag("negative-start", f"job {j} op {o}: starts at {e.start}")
+            duration = op.alternatives.get(e.machine)
+            if duration is None:
+                flag("capability",
+                     f"job {j} op {o}: machine {e.machine} cannot run this operation")
+            elif e.end - e.start != duration:
+                flag("interruption",
+                     f"job {j} op {o}: interval [{e.start},{e.end}) does not match "
+                     f"duration {duration} on machine {e.machine}")
+            if prev is not None:
+                if e.start < prev.start:
+                    flag("precedence", f"job {j}: op {o} starts at {e.start} "
+                         f"before op {prev.op} starts at {prev.start}")
+                elif e.start < prev.end:
+                    flag("job-overlap",
+                         f"job {j}: ops {prev.op} and {o} run simultaneously")
+            prev = e
 
     # Machine overlap.
     by_machine: dict[int, list[ScheduleEntry]] = {}
@@ -126,13 +101,12 @@ def validate_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
         entries.sort(key=lambda e: (e.start, e.end))
         for a, b in zip(entries, entries[1:]):
             if b.start < a.end:
-                violations.append(
-                    Violation(
-                        "machine-overlap",
-                        f"machine {m}: job {a.job} op {a.op} and job {b.job} "
-                        f"op {b.op} overlap",
-                    )
-                )
+                flag("machine-overlap", f"machine {m}: job {a.job} op {a.op} "
+                     f"and job {b.job} op {b.op} overlap")
+
+    latest = max((e.end for e in sched.entries), default=0)
+    if sched.makespan != latest:
+        flag("makespan", f"declared makespan {sched.makespan} != latest end {latest}")
 
     return violations
 
@@ -161,6 +135,8 @@ def parse_schedule(text: str) -> Schedule:
         if parts[0] == "makespan":
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: malformed makespan trailer")
+            if declared is not None:
+                raise ValueError(f"line {lineno}: second makespan trailer")
             try:
                 declared = int(parts[1])
             except ValueError:

@@ -314,6 +314,11 @@ BAD_INPUTS = {
                                    {"b.sched": "0 0 0 0 x\n"}, None),
     "validate-only-trailer": (["validate", "{toy}", "{tmp}/b.sched"],
                               {"b.sched": "makespan 5\n"}, None),
+    # The first trailer misstates the makespan; a later one may not mend it.
+    "validate-second-makespan-trailer": (
+        ["validate", "{tmp}/one.fjs", "{tmp}/t.sched"],
+        {"one.fjs": "1 1\n1 1 1 5\n",
+         "t.sched": "0 0 0 0 5\nmakespan 9\nmakespan 5\n"}, None),
 }
 
 

@@ -1,16 +1,22 @@
 """Schedule model, validator, serialization, and Gantt rendering."""
 
 import xml.etree.ElementTree as ET
+from dataclasses import replace
+from functools import lru_cache
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexshop.baselines import fifo
+from flexshop.data import BUNDLED, load_bundled
 from flexshop.environment import SchedulingEnv
 from flexshop.instance import parse_instance
 from flexshop.schedule import (
     Schedule,
     ScheduleEntry,
+    Violation,
     parse_schedule,
     render_gantt,
     schedule_to_json,
@@ -31,6 +37,134 @@ def random_schedule(inst, seed=0) -> Schedule:
 
 def kinds(violations) -> set[str]:
     return {v.kind for v in violations}
+
+
+def reference_validate(inst, sched) -> list[Violation]:
+    """The all-pairs validator that `validate_schedule` replaced: three
+    passes over the entries, then every pair of each job's operations.  It
+    has no makespan rule."""
+    violations: list[Violation] = []
+
+    seen: dict[tuple[int, int], ScheduleEntry] = {}
+    for e in sched.entries:
+        if not (0 <= e.job < inst.job_count) or not (
+            0 <= e.op < len(inst.jobs[e.job])
+        ):
+            violations.append(
+                Violation("completeness", f"unknown operation (job {e.job}, op {e.op})")
+            )
+            continue
+        if (e.job, e.op) in seen:
+            violations.append(
+                Violation("completeness", f"duplicate entry for job {e.job} op {e.op}")
+            )
+            continue
+        seen[(e.job, e.op)] = e
+
+    for j, job in enumerate(inst.jobs):
+        for o in range(len(job)):
+            if (j, o) not in seen:
+                violations.append(
+                    Violation("completeness", f"missing entry for job {j} op {o}")
+                )
+
+    for (j, o), e in seen.items():
+        if e.start < 0:
+            violations.append(
+                Violation("negative-start", f"job {j} op {o}: starts at {e.start}")
+            )
+        op = inst.jobs[j].operations[o]
+        if e.machine not in op.alternatives:
+            violations.append(
+                Violation(
+                    "capability",
+                    f"job {j} op {o}: machine {e.machine} cannot run this operation",
+                )
+            )
+        elif e.end - e.start != op.alternatives[e.machine]:
+            violations.append(
+                Violation(
+                    "interruption",
+                    f"job {j} op {o}: interval [{e.start},{e.end}) does not match "
+                    f"duration {op.alternatives[e.machine]} on machine {e.machine}",
+                )
+            )
+
+    by_job: dict[int, list[ScheduleEntry]] = {}
+    for (j, _), e in seen.items():
+        by_job.setdefault(j, []).append(e)
+    for j, entries in by_job.items():
+        entries.sort(key=lambda e: e.op)
+        for i in range(len(entries)):
+            for k in range(i + 1, len(entries)):
+                a, b = entries[i], entries[k]  # a.op < b.op
+                if b.start < a.start:
+                    violations.append(
+                        Violation(
+                            "precedence",
+                            f"job {j}: op {b.op} starts at {b.start} before op "
+                            f"{a.op} starts at {a.start}",
+                        )
+                    )
+                elif b.start < a.end:
+                    violations.append(
+                        Violation(
+                            "job-overlap",
+                            f"job {j}: ops {a.op} and {b.op} run simultaneously",
+                        )
+                    )
+
+    by_machine: dict[int, list[ScheduleEntry]] = {}
+    for e in seen.values():
+        by_machine.setdefault(e.machine, []).append(e)
+    for m, entries in by_machine.items():
+        entries.sort(key=lambda e: (e.start, e.end))
+        for a, b in zip(entries, entries[1:]):
+            if b.start < a.end:
+                violations.append(
+                    Violation(
+                        "machine-overlap",
+                        f"machine {m}: job {a.job} op {a.op} and job {b.job} "
+                        f"op {b.op} overlap",
+                    )
+                )
+
+    return violations
+
+
+@lru_cache(maxsize=None)
+def source(name: str, walk_seed: int | None):
+    """An instance (`tinyN` or a bundled name) and a valid schedule of it:
+    fifo's if `walk_seed` is None, else a random walk's."""
+    inst = (tiny_instance(int(name[4:])) if name.startswith("tiny")
+            else load_bundled(name))
+    sched = fifo(inst) if walk_seed is None else random_schedule(inst, walk_seed)
+    return inst, sched.entries
+
+
+MUTATIONS = ("shift", "stretch", "machine", "drop", "duplicate",
+             "duplicate-same", "relabel")
+
+
+def mutate(inst, entries: list, kind: str, pick: int, amount: int) -> None:
+    """Apply one mutation in place to `entries[pick % len(entries)]`;
+    `amount` sizes it."""
+    i = pick % len(entries)
+    e = entries[i]
+    if kind == "shift":
+        entries[i] = replace(e, start=e.start + amount, end=e.end + amount)
+    elif kind == "stretch":
+        entries[i] = replace(e, end=e.end + amount)
+    elif kind == "machine":
+        entries[i] = replace(e, machine=abs(amount) % (inst.machine_count + 1))
+    elif kind == "drop":
+        del entries[i]
+    elif kind == "duplicate":
+        entries.append(replace(e, start=e.start + amount, end=e.end + amount))
+    elif kind == "duplicate-same":
+        entries.append(e)  # the same object twice
+    else:  # relabel
+        entries[i] = replace(e, op=abs(amount) % (len(inst.jobs[e.job]) + 1))
 
 
 class TestMakespan:
@@ -115,6 +249,62 @@ class TestValidator:
         bad = Schedule.from_entries([ScheduleEntry(0, 0, 1, 0, 5)])
         assert kinds(validate_schedule(inst, bad)) == {"capability"}
 
+    def test_makespan(self, toy):
+        s = fifo(toy)
+        found = validate_schedule(toy, Schedule(s.entries, s.makespan - 5))
+        assert kinds(found) == {"makespan"}
+        assert found[0].message == (
+            f"declared makespan {s.makespan - 5} != latest end {s.makespan}")
+
+    def test_identical_entry_twice(self, toy):
+        entries = fifo(toy).entries
+        doubled = Schedule.from_entries(entries + entries[:1])
+        found = validate_schedule(toy, doubled)
+        assert kinds(found) == {"completeness"}
+        e = entries[0]
+        assert [v.message for v in found] == [
+            f"duplicate entry for job {e.job} op {e.op}"]
+
+    def test_several_faults_in_one_job_report_adjacent_pairs(self):
+        inst = parse_instance("1 1\n3 1 1 2 1 1 2 1 1 2\n")
+        # All three ops run at once: ops 0/1 and 1/2 overlap; 0/2 is not
+        # reported, though it overlaps too.
+        bad = Schedule.from_entries(
+            [ScheduleEntry(0, o, 0, 0, 2) for o in range(3)])
+        found = [v for v in validate_schedule(inst, bad) if v.kind == "job-overlap"]
+        assert [v.message for v in found] == [
+            "job 0: ops 0 and 1 run simultaneously",
+            "job 0: ops 1 and 2 run simultaneously",
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        name=st.sampled_from([f"tiny{seed}" for seed in range(60)] + list(BUNDLED)),
+        walk_seed=st.none() | st.integers(0, 4),
+        mutations=st.lists(
+            st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 10**6),
+                      st.integers(-6, 6)),
+            max_size=3),
+    )
+    def test_matches_reference(self, name, walk_seed, mutations):
+        """Against the all-pairs reference: the same verdict, and kinds
+        drawn from the reference's (plus "makespan", which it lacks)."""
+        inst, base = source(name, walk_seed)
+        entries = list(base)
+        for kind, pick, amount in mutations:
+            if entries:
+                mutate(inst, entries, kind, pick, amount)
+        if not entries:
+            return
+        sched = Schedule.from_entries(entries)
+        found = validate_schedule(inst, sched)
+        expected = reference_validate(inst, sched)
+        assert (found == []) == (expected == [])
+        assert kinds(found) <= kinds(expected) | {"makespan"}
+        # Misstating the makespan adds exactly that kind.
+        misstated = validate_schedule(inst, Schedule(sched.entries, sched.makespan + 1))
+        assert kinds(misstated) == kinds(found) | {"makespan"}
+
 
 class TestSerialization:
     def test_round_trip(self, toy):
@@ -131,6 +321,11 @@ class TestSerialization:
         tampered = text.replace(trailer, f"makespan {sched.makespan + 1}")
         with pytest.raises(ValueError, match="declared makespan"):
             parse_schedule(tampered)
+
+    def test_second_trailer_rejected(self):
+        # Only a refused file can keep the first trailer from being lost.
+        with pytest.raises(ValueError, match=r"^line 3: second makespan trailer$"):
+            parse_schedule("0 0 0 0 5\nmakespan 9\nmakespan 5\n")
 
     def test_non_integer_makespan_rejected(self):
         with pytest.raises(ValueError, match=r"^line 2: non-integer makespan$"):

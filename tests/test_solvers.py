@@ -153,6 +153,18 @@ class TestEstimatorApi:
             solver.fit(toy)
         assert not solver.is_fitted
 
+    def test_misstated_makespan_guard(self, toy):
+        class Understated(BaseSolver):
+            def _solve(self, inst):
+                # Every entry is valid; only the declared makespan is off.
+                sched = make_solver("fifo").fit(inst).best_schedule_
+                return Schedule(sched.entries, sched.makespan - 5)
+
+        solver = Understated()
+        with pytest.raises(RuntimeError, match="'makespan'"):
+            solver.fit(toy)
+        self.assert_unfitted(solver)
+
     @staticmethod
     def assert_unfitted(solver):
         assert not solver.is_fitted
