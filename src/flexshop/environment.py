@@ -88,11 +88,11 @@ class SchedulingEnv:
         # which must finish first, and the one listed right after it, or
         # None.  Both tables are None when nothing is constrained.
         self._before = self._after = None
+        if machine_order is not None and not isinstance(machine_order, dict):
+            raise ValueError("machine order must be a dict of machine -> "
+                             "(job, op) pairs, got a "
+                             f"{type(machine_order).__name__}")
         if machine_order:
-            if not isinstance(machine_order, dict):
-                raise ValueError("machine order must be a dict of machine -> "
-                                 "(job, op) pairs, got a "
-                                 f"{type(machine_order).__name__}")
             self._before = [[None] * len(row) for row in masks]
             self._after = [[None] * len(row) for row in masks]
             # Each op waits for its job predecessor and its listed one.

@@ -34,9 +34,18 @@ class OperationSpec:
     alternatives: dict[int, int]
 
     def __post_init__(self):
+        if not isinstance(self.alternatives, dict):
+            raise InstanceError("alternatives must be a dict of machine -> "
+                                f"duration, got {self.alternatives!r}")
         if not self.alternatives:
             raise InstanceError("operation has no machine alternatives")
         for machine, duration in self.alternatives.items():
+            # True == 1, but a bool is no machine id or duration.
+            if type(machine) is not int:
+                raise InstanceError(f"machine id {machine!r} is not an int")
+            if type(duration) is not int:
+                raise InstanceError(f"duration {duration!r} on machine "
+                                    f"{machine} is not an int")
             if machine < 0:
                 raise InstanceError(f"negative machine id {machine}")
             if duration < 1:
@@ -90,8 +99,9 @@ class Instance:
     name: str = "instance"
 
     def __post_init__(self):
-        if self.machine_count < 1:
-            raise InstanceError("machine_count must be >= 1")
+        if type(self.machine_count) is not int or self.machine_count < 1:
+            raise InstanceError("machine_count must be an int >= 1, "
+                                f"got {self.machine_count!r}")
         if not self.jobs:
             raise InstanceError("instance has no jobs")
         for j, job in enumerate(self.jobs):

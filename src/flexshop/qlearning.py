@@ -211,48 +211,12 @@ def update(q: QTable, s: bytes, a: int, r: int,
     q._put(s, handle, a, value + alpha * (target - value))
 
 
-def _rollout(env: SchedulingEnv, q: QTable, epsilon: float, rng: Random,
-             alpha: float) -> tuple[int, EpisodeTrace]:
-    """One learning episode; returns (makespan, trace).
-
-    Each step does what `select_action`, `SchedulingEnv.step` and `update`
-    do, with each legal list and row found once: the loop holds the
-    current state's list and handle, steps with `env._apply` on the
-    chosen allocation, then looks up the next state's list and handle,
-    bootstraps from that handle and writes the current slot.
-    """
-    rows, values = q._rows, q._values
-    obs = env.reset()
-    legal = env.legal_allocations()
-    handle = rows.get(obs)
-    pairs: list[tuple[bytes, int]] = []
-    rewards: list[int] = []
-    done = False
-    while not done:
-        if epsilon > 0 and rng.random() < epsilon:
-            action = rng.randrange(len(legal))
-        else:
-            action = _argmax(values, handle, len(legal))
-        # The index comes from `legal`, so `step`'s checks cannot fail.
-        next_obs, reward, done, _ = env._apply(legal[action])
-        if done:
-            next_handle, target = None, reward + 0.0
-        else:
-            legal = env.legal_allocations()
-            next_handle = rows.get(next_obs)
-            target = reward + _max(values, next_handle, len(legal))
-        value = _get(values, handle, action)
-        # The write can move this row, never the next one: every step
-        # changes the observation, so `next_handle` stays valid.
-        q._put(obs, handle, action, value + alpha * (target - value))
-        pairs.append((obs, action))
-        rewards.append(reward)
-        obs, handle = next_obs, next_handle
-    return env.clock, EpisodeTrace(pairs, rewards)
-
-
-def _greedy(env: SchedulingEnv, q: QTable) -> int:
-    """One epsilon=0 episode without updates; returns the makespan.
+def _play(env: SchedulingEnv, q: QTable, epsilon: float, rng: Random | None
+          ) -> tuple[EpisodeTrace, list[int | None], list[int]]:
+    """One epsilon-greedy episode that reads `q` and writes nothing; ties
+    go to the lowest index, and `rng` is read only when epsilon > 0.
+    Returns the trace and, per step, the state's row handle and its
+    legal-action count.
 
     Each step starts an operation or, by a pure wait, finishes one, so an
     episode that has not ended in twice the operation count is an
@@ -260,16 +224,51 @@ def _greedy(env: SchedulingEnv, q: QTable) -> int:
     """
     rows, values = q._rows, q._values
     obs = env.reset()
+    pairs, rewards, handles, counts = [], [], [], []
     limit = 2 * env.instance.total_operations
-    steps = 0
-    while not env.done:
-        if steps == limit:
-            raise SchedulingError(f"greedy episode on {env.instance.name} "
-                                  f"did not end in {limit} steps")
-        steps += 1
+    for _ in range(limit):
         legal = env.legal_allocations()
-        obs = env._apply(
-            legal[_argmax(values, rows.get(obs), len(legal))]).observation
+        handle = rows.get(obs)
+        if epsilon > 0 and rng.random() < epsilon:
+            action = rng.randrange(len(legal))
+        else:
+            action = _argmax(values, handle, len(legal))
+        pairs.append((obs, action))
+        handles.append(handle)
+        counts.append(len(legal))
+        # The index comes from `legal`, so `step`'s checks cannot fail.
+        obs, reward, done, _ = env._apply(legal[action])
+        rewards.append(reward)
+        if done:
+            return EpisodeTrace(pairs, rewards), handles, counts
+    raise SchedulingError(f"episode on {env.instance.name} "
+                          f"did not end in {limit} steps")
+
+
+def _rollout(env: SchedulingEnv, q: QTable, epsilon: float, rng: Random,
+             alpha: float) -> tuple[int, EpisodeTrace]:
+    """One learning episode; returns (makespan, trace).
+
+    `_play`, then each step's one-step TD update in step order, which
+    bootstraps from the next step's row (from 0 after the last step).  This
+    equals updating inside the loop: each step starts or finishes an
+    operation, so no state repeats and no row is written before it is read;
+    and a `_put` moves only its own row, so the recorded handles stay valid.
+    """
+    trace, handles, counts = _play(env, q, epsilon, rng)
+    values, put = q._values, q._put
+    for (obs, action), reward, handle, next_handle, next_count in zip(
+            trace.pairs, trace.rewards, handles, handles[1:] + [None],
+            counts[1:] + [0]):
+        target = reward + _max(values, next_handle, next_count)
+        value = _get(values, handle, action)
+        put(obs, handle, action, value + alpha * (target - value))
+    return env.clock, trace
+
+
+def _greedy(env: SchedulingEnv, q: QTable) -> int:
+    """One epsilon=0 episode without updates; returns the makespan."""
+    _play(env, q, 0, None)
     return env.clock
 
 

@@ -214,6 +214,11 @@ class TestConstrainedEnv:
         # Job 0 fixed to M0; job 1 may still take M1 (M0 is conflicted).
         assert (0, 1) in env.legal_allocations()
 
+    def test_empty_order_is_unconstrained(self, toy):
+        env = SchedulingEnv(toy, {})
+        assert env._before is None
+        assert env.legal_allocations() == SchedulingEnv(toy).legal_allocations()
+
     @pytest.mark.parametrize("inst, order, match", [
         (ONE_OP, {0: ((9, 9), (0, 0))}, "outside"),
         # The only op runs on M0 alone; M1 cannot run it.
@@ -227,12 +232,18 @@ class TestConstrainedEnv:
         # True == 1, but a bool is no machine id.
         (ONE_OP, {True: [(0, 0)]}, "key True is not a machine"),
         (ONE_OP, [(0, 0)], "must be a dict"),
+        # An empty non-dict is no "no order" either.
+        (ONE_OP, [], "must be a dict.*got a list"),
+        (ONE_OP, 0, "must be a dict.*got a int"),
+        (ONE_OP, "", "must be a dict.*got a str"),
+        (ONE_OP, (), "must be a dict.*got a tuple"),
         (ONE_OP, {0: 5}, "order on machine 0 is not a list"),
         # flex06's op (0, 0) runs on M2 or M3, but not on both.
         (FLEX06, {2: [(0, 0)], 3: [(0, 0)]},
          r"op \(0, 0\) on machines 2 and 3"),
     ], ids=["op-outside", "machine-cannot-run", "cyclic", "listed-twice",
             "string-key", "key-out-of-range", "bool-key", "not-a-dict",
+            "empty-list", "zero", "empty-string", "empty-tuple",
             "not-a-list",
             "listed-on-two-machines"])
     def test_constraint_outside_instance_rejected(self, inst, order, match):

@@ -1,5 +1,6 @@
 """Instance parsing, validation, serialization, and mean durations."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,26 @@ class TestModel:
     def test_operation_requires_alternatives(self):
         with pytest.raises(InstanceError):
             OperationSpec({})
+
+    @pytest.mark.parametrize("alternatives, match", [
+        ({0: 2.5}, r"duration 2\.5 on machine 0 is not an int"),
+        ({0: True}, "duration True on machine 0 is not an int"),
+        ({True: 3}, "machine id True is not an int"),
+        ({0.0: 3}, r"machine id 0\.0 is not an int"),
+        ({"0": 3}, "machine id '0' is not an int"),
+        ([(0, 3)], r"alternatives must be a dict.*\[\(0, 3\)\]"),
+    ], ids=["float-duration", "bool-duration", "bool-machine",
+            "float-machine", "string-machine", "not-a-dict"])
+    def test_non_int_alternatives_rejected(self, alternatives, match):
+        with pytest.raises(InstanceError, match=match):
+            OperationSpec(alternatives)
+
+    @pytest.mark.parametrize("count", [2.0, True, "2", None])
+    def test_non_int_machine_count_rejected(self, count):
+        with pytest.raises(InstanceError,
+                           match=f"machine_count must be an int >= 1, "
+                                 f"got {re.escape(repr(count))}"):
+            Instance(count, (JobSpec((OperationSpec({0: 5}),)),))
 
     def test_machine_id_range_checked(self):
         with pytest.raises(InstanceError):

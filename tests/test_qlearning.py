@@ -299,6 +299,25 @@ class TestTrain:
         assert len(report.episode_makespans) < 1_000_000
 
 
+class PureWaitHolds(SchedulingEnv):
+    """A faulty environment: a pure wait leaves the state as it is.  The
+    51st held wait raises a sentinel, so a loop without a stall guard fails
+    instead of hanging."""
+
+    held = 0
+
+    def _apply(self, allocation):
+        if all(m == WAIT for m in allocation):
+            self.held += 1
+            if self.held > 50:
+                raise RuntimeError("no stall guard: 50 held waits")
+            return StepResult(self.observation(), 0, False, self.clock)
+        return super()._apply(allocation)
+
+
+STALLS = "2 2\n1 1 1 5\n1 1 2 5\n"
+
+
 class TestGreedyRollout:
     def test_matches_last_greedy_test(self, ft06):
         # episodes is a multiple of test_interval, so the last greedy test
@@ -329,16 +348,7 @@ class TestGreedyRollout:
             assert sched.makespan <= max(report.episode_makespans)
 
     def test_stalled_environment_raises(self):
-        class PureWaitHolds(SchedulingEnv):
-            """A faulty environment: a pure wait leaves the state as it is."""
-
-            def _apply(self, allocation):
-                if all(m == WAIT for m in allocation):
-                    return StepResult(self.observation(), 0, False, self.clock)
-                return super()._apply(allocation)
-
-        env = PureWaitHolds(parse_instance("2 2\n1 1 1 5\n1 1 2 5\n",
-                                           name="stalls"))
+        env = PureWaitHolds(parse_instance(STALLS, name="stalls"))
         q = QTable()
         # Start job 0 alone, then prefer the pure wait over starting job 1.
         root = env.reset()
@@ -349,6 +359,48 @@ class TestGreedyRollout:
         q.keep_max(env.observation(), 0, -1.0)
         with pytest.raises(SchedulingError, match="stalls.*4 steps"):
             greedy_rollout(env, q)
+
+
+class TestPlay:
+    """`_play`, the one episode loop of training and greedy tests."""
+
+    def test_training_on_stalled_environment_raises(self):
+        # From an empty table at epsilon 0, the third episode starts job 0
+        # alone and then holds the pure wait, whose untried slot reads 0.
+        env = PureWaitHolds(parse_instance(STALLS, name="stalls"))
+        cfg = LearnerConfig(epsilon_start=0.0, epsilon_min=0.0,
+                            prepopulate=False, episodes=10, test_interval=10)
+        with pytest.raises(SchedulingError, match="stalls.*4 steps"):
+            train(env, cfg)
+
+    @pytest.mark.parametrize("case", ["ft06", "la05", "la05 stage 2"])
+    def test_reads_and_writes_nothing(self, case):
+        cfg = DivisionConfig(episodes=60, test_interval=20, seed=3,
+                             epsilon_decay=0.97)
+        if case == "la05 stage 2":
+            # rl-divided's second stage, under stage 1's machine order.
+            la05 = load_bundled("la05")
+            _, reports = solve_divided(la05, cfg)
+            env = SchedulingEnv(division.combine(division.split(la05, cfg), 2),
+                                division.machine_order(
+                                    reports[0].best_schedule))
+            q = reports[1].q
+        else:
+            env = SchedulingEnv(load_bundled(case))
+            q = train(env, cfg).q
+        before = len(q), list(q.items()), q._values.tobytes()
+        trace, handles, counts = qlearning._play(env, q, 0.5, Random(1))
+        assert (len(q), list(q.items()), q._values.tobytes()) == before
+        assert env.done
+        assert len(handles) == len(counts) == len(trace.pairs) > 0
+        assert handles == [q._rows.get(obs) for obs, _ in trace.pairs]
+        assert any(h is not None for h in handles)
+        # Each count is the length of the step's legal list.
+        obs = env.reset()
+        for (played, action), count in zip(trace.pairs, counts):
+            legal = env.legal_allocations()
+            assert (obs, len(legal)) == (played, count)
+            obs = env.step(action).observation
 
 
 class TupleObservationEnv(SchedulingEnv):
