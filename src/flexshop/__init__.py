@@ -31,8 +31,8 @@ from .schedule import (
     validate_schedule,
     write_schedule,
 )
-from .qlearning import LearnerConfig, QTable, TrainingReport, greedy_rollout, train
-from .prepopulate import EpisodeTrace, backward_pass
+from .qlearning import (EpisodeTrace, LearnerConfig, QTable, TrainingReport,
+                        backward_pass, greedy_rollout, train)
 from .division import DivisionConfig, SplitStrategy, combine, solve_divided, split
 from .baselines import (
     BaselineConfig,

@@ -37,6 +37,10 @@ class BaselineConfig:
                                  f"got {value!r}")
         if type(self.seed) is not int:
             raise ValueError(f"seed must be an int, got {self.seed!r}")
+        if self.duration_mode not in list(DurationMode):
+            raise ValueError("duration_mode must be one of "
+                             f"{[m.value for m in DurationMode]}, "
+                             f"got {self.duration_mode!r}")
         self.duration_mode = DurationMode(self.duration_mode)
 
 

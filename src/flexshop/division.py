@@ -48,6 +48,10 @@ class DivisionConfig(LearnerConfig):
         if type(self.parts) is not int or self.parts < 2:
             raise ValueError(f"parts must be an int of at least 2, "
                              f"got {self.parts!r}")
+        if self.strategy not in list(SplitStrategy):
+            raise ValueError("strategy must be one of "
+                             f"{[s.value for s in SplitStrategy]}, "
+                             f"got {self.strategy!r}")
         self.strategy = SplitStrategy(self.strategy)
 
 

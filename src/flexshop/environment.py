@@ -123,11 +123,13 @@ class SchedulingEnv:
                             and 0 <= op < len(instance.jobs[job])):
                         raise ValueError(f"constraint names op ({job}, {op}) "
                                          f"outside {instance.name}")
-                    other = listed.setdefault((job, op), machine)
-                    if other != machine:
+                    if (other := listed.get((job, op))) is not None:
                         raise ValueError(
-                            f"constraint lists op ({job}, {op}) on machines "
-                            f"{other} and {machine}")
+                            f"constraint lists op ({job}, {op}) " + (
+                                f"twice on machine {machine}"
+                                if other == machine else
+                                f"on machines {other} and {machine}"))
+                    listed[job, op] = machine
                     if not masks[job][op] >> machine & 1:
                         raise ValueError(
                             f"constraint puts op ({job}, {op}) on machine "

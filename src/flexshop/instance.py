@@ -88,6 +88,12 @@ class JobSpec:
 
     operations: tuple[OperationSpec, ...]
 
+    def __post_init__(self):
+        for o, op in enumerate(self.operations):
+            if not isinstance(op, OperationSpec):
+                raise InstanceError(
+                    f"operations[{o}] must be OperationSpec, got {op!r}")
+
     def __len__(self) -> int:
         return len(self.operations)
 
@@ -105,6 +111,8 @@ class Instance:
         if not self.jobs:
             raise InstanceError("instance has no jobs")
         for j, job in enumerate(self.jobs):
+            if not isinstance(job, JobSpec):
+                raise InstanceError(f"jobs[{j}] must be JobSpec, got {job!r}")
             if not job.operations:
                 raise InstanceError(f"job {j} has no operations")
             for o, op in enumerate(job.operations):

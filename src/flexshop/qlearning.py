@@ -16,7 +16,6 @@ from random import Random
 
 from .environment import SchedulingEnv, SchedulingError
 from .instance import Instance
-from .prepopulate import EpisodeTrace, backward_pass
 from .schedule import Schedule
 
 _WIDTH = (1 << 32) - 1  # the width bits of a row handle
@@ -38,9 +37,9 @@ class QTable:
     both read as 0, but only the stored one counts in `len` and `items`.
     Slots past a row read 0 too.
 
-    The public methods are `len`, `get`, `keep_max` and `items`.  The
-    learner reads and writes rows through handles, with the module's
-    `_get`, `_max`, `_argmax` and `_put`.
+    The public methods are `len`, `get`, `keep_max` and `items`.
+    `select_action` and `update` read and write rows through handles, with
+    the module's `_get`, `_max`, `_argmax` and `_put`.
 
     Observations are the environment's packed ``bytes`` (any hashable key
     works).  A ``bytes`` key caches its hash, so the several lookups of one
@@ -191,9 +190,25 @@ class TrainingReport:
     final_epsilon: float
 
 
+@dataclass
+class EpisodeTrace:
+    """(Packed observation, action index) pairs of one episode with their
+    aligned rewards."""
+
+    pairs: list[tuple[bytes, int]]
+    rewards: list[int]
+
+    def __post_init__(self):
+        if len(self.pairs) != len(self.rewards):
+            raise ValueError(
+                f"{len(self.pairs)} pairs but {len(self.rewards)} rewards"
+            )
+
+
 def select_action(q: QTable, obs: bytes, legal_count: int,
-                  epsilon: float, rng: Random) -> int:
-    """Epsilon-greedy with deterministic lowest-index tie-breaking."""
+                  epsilon: float, rng: Random | None) -> int:
+    """Epsilon-greedy with deterministic lowest-index tie-breaking; `rng` is
+    read only when epsilon > 0."""
     if legal_count < 1:
         raise ValueError("no legal actions to select from")
     if epsilon > 0 and rng.random() < epsilon:
@@ -211,36 +226,51 @@ def update(q: QTable, s: bytes, a: int, r: int,
     q._put(s, handle, a, value + alpha * (target - value))
 
 
+def backward_pass(q: QTable, trace: EpisodeTrace,
+                  include_immediate_reward: bool = False):
+    """Write best observed cumulative rewards into Q-table `q`.  Since
+    rewards are clock deltas, a stored value is (minus) the best remaining
+    makespan observed so far from that pair onward.
+
+    Default order stores, at step k, the cumulative reward strictly after
+    action k (the immediate reward is added only after the store).  With
+    `include_immediate_reward` the accumulation happens first, so the stored
+    value covers the action's own reward as well.
+    """
+    cumulative = 0
+    keep_max = q.keep_max
+    for (obs, action), reward in zip(reversed(trace.pairs), reversed(trace.rewards)):
+        if include_immediate_reward:
+            cumulative += reward
+        # Unseen pairs always take the observed value; the optimistic default
+        # of 0 would otherwise block every negative cumulative reward.
+        keep_max(obs, action, cumulative)
+        if not include_immediate_reward:
+            cumulative += reward
+
+
 def _play(env: SchedulingEnv, q: QTable, epsilon: float, rng: Random | None
-          ) -> tuple[EpisodeTrace, list[int | None], list[int]]:
-    """One epsilon-greedy episode that reads `q` and writes nothing; ties
-    go to the lowest index, and `rng` is read only when epsilon > 0.
-    Returns the trace and, per step, the state's row handle and its
-    legal-action count.
+          ) -> tuple[EpisodeTrace, list[int]]:
+    """One `select_action` episode that reads `q` and writes nothing.
+    Returns the trace and each step's legal-action count.
 
     Each step starts an operation or, by a pure wait, finishes one, so an
     episode that has not ended in twice the operation count is an
     environment fault, raised as :class:`SchedulingError`.
     """
-    rows, values = q._rows, q._values
     obs = env.reset()
-    pairs, rewards, handles, counts = [], [], [], []
+    pairs, rewards, counts = [], [], []
     limit = 2 * env.instance.total_operations
     for _ in range(limit):
         legal = env.legal_allocations()
-        handle = rows.get(obs)
-        if epsilon > 0 and rng.random() < epsilon:
-            action = rng.randrange(len(legal))
-        else:
-            action = _argmax(values, handle, len(legal))
+        action = select_action(q, obs, len(legal), epsilon, rng)
         pairs.append((obs, action))
-        handles.append(handle)
         counts.append(len(legal))
         # The index comes from `legal`, so `step`'s checks cannot fail.
         obs, reward, done, _ = env._apply(legal[action])
         rewards.append(reward)
         if done:
-            return EpisodeTrace(pairs, rewards), handles, counts
+            return EpisodeTrace(pairs, rewards), counts
     raise SchedulingError(f"episode on {env.instance.name} "
                           f"did not end in {limit} steps")
 
@@ -249,20 +279,16 @@ def _rollout(env: SchedulingEnv, q: QTable, epsilon: float, rng: Random,
              alpha: float) -> tuple[int, EpisodeTrace]:
     """One learning episode; returns (makespan, trace).
 
-    `_play`, then each step's one-step TD update in step order, which
-    bootstraps from the next step's row (from 0 after the last step).  This
-    equals updating inside the loop: each step starts or finishes an
-    operation, so no state repeats and no row is written before it is read;
-    and a `_put` moves only its own row, so the recorded handles stay valid.
+    `_play`, then each step's `update` in step order, which bootstraps from
+    the next step's state (from 0 after the last step).  This equals
+    updating inside the loop: each step starts or finishes an operation, so
+    no state repeats and no row is written before it is read.
     """
-    trace, handles, counts = _play(env, q, epsilon, rng)
-    values, put = q._values, q._put
-    for (obs, action), reward, handle, next_handle, next_count in zip(
-            trace.pairs, trace.rewards, handles, handles[1:] + [None],
-            counts[1:] + [0]):
-        target = reward + _max(values, next_handle, next_count)
-        value = _get(values, handle, action)
-        put(obs, handle, action, value + alpha * (target - value))
+    trace, counts = _play(env, q, epsilon, rng)
+    next_states = [obs for obs, _ in trace.pairs[1:]] + [env.observation()]
+    for (obs, action), reward, next_obs, next_count in zip(
+            trace.pairs, trace.rewards, next_states, counts[1:] + [0]):
+        update(q, obs, action, reward, next_obs, next_count, alpha)
     return env.clock, trace
 
 

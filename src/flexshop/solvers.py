@@ -179,10 +179,14 @@ SOLVERS: dict[str, tuple[type[BaseSolver], dict]] = {
 
 def make_solver(name: str, **overrides) -> BaseSolver:
     """Build a solver by registry name from the non-None overrides it
-    takes; an override that contradicts the name's fixed params is a
-    `ValueError`."""
+    takes.  An override that no registry solver takes, or that contradicts
+    the name's fixed params, is a `ValueError`."""
     if name not in SOLVERS:
         raise ValueError(f"unknown solver {name!r}; have {sorted(SOLVERS)}")
+    unknown = sorted(set(overrides).difference(
+        *(cls.params for cls, _ in SOLVERS.values())))
+    if unknown:
+        raise ValueError(f"unknown parameter(s) {unknown}; no solver takes them")
     cls, fixed = SOLVERS[name]
     params = {k: v for k, v in overrides.items()
               if k in cls.params and v is not None}

@@ -224,8 +224,10 @@ class TestConstrainedEnv:
         # The only op runs on M0 alone; M1 cannot run it.
         (ONE_OP, {1: ((0, 0),)}, "cannot run"),
         (CYCLIC, CYCLIC_ORDER, r"cyclic on .*\(0, 0\)"),
-        # An op listed twice must wait for itself.
-        (ONE_OP, {0: ((0, 0), (0, 0))}, "cyclic"),
+        # An op listed twice is a duplicate, not a cycle.
+        (ONE_OP, {0: ((0, 0), (0, 0))}, r"op \(0, 0\) twice on machine 0$"),
+        (CYCLIC, {0: ((0, 0), (1, 1), (0, 0))},
+         r"op \(0, 0\) twice on machine 0$"),
         # A JSON-loaded order has string keys; machine 0 can run the op.
         (ONE_OP, {"0": [[0, 0]]}, "key '0' is not a machine"),
         (ONE_OP, {2: ((0, 0),)}, "key 2 is not a machine"),
@@ -242,6 +244,7 @@ class TestConstrainedEnv:
         (FLEX06, {2: [(0, 0)], 3: [(0, 0)]},
          r"op \(0, 0\) on machines 2 and 3"),
     ], ids=["op-outside", "machine-cannot-run", "cyclic", "listed-twice",
+            "listed-twice-apart",
             "string-key", "key-out-of-range", "bool-key", "not-a-dict",
             "empty-list", "zero", "empty-string", "empty-tuple",
             "not-a-list",

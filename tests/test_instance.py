@@ -117,6 +117,23 @@ class TestModel:
                                  f"got {re.escape(repr(count))}"):
             Instance(count, (JobSpec((OperationSpec({0: 5}),)),))
 
+    @pytest.mark.parametrize("build, match", [
+        (lambda: Instance(2, ((1, 2),)),
+         r"jobs\[0\] must be JobSpec, got \(1, 2\)"),
+        (lambda: Instance(2, (JobSpec((OperationSpec({0: 1}),)), None)),
+         r"jobs\[1\] must be JobSpec, got None"),
+        (lambda: JobSpec(({0: 1},)),
+         r"operations\[0\] must be OperationSpec, got \{0: 1\}"),
+        (lambda: JobSpec((OperationSpec({0: 1}), None)),
+         r"operations\[1\] must be OperationSpec, got None"),
+        (lambda: Instance(1, (JobSpec(("op",)),)),
+         "operations\\[0\\] must be OperationSpec, got 'op'"),
+    ], ids=["tuple-job", "none-job", "dict-operation", "none-operation",
+            "string-operation"])
+    def test_wrongly_typed_members_rejected(self, build, match):
+        with pytest.raises(InstanceError, match=match):
+            build()
+
     def test_machine_id_range_checked(self):
         with pytest.raises(InstanceError):
             Instance(1, (JobSpec((OperationSpec({1: 5}),)),))

@@ -5,8 +5,7 @@ from random import Random
 import pytest
 
 from flexshop.environment import SchedulingEnv
-from flexshop.prepopulate import EpisodeTrace, backward_pass
-from flexshop.qlearning import QTable
+from flexshop.qlearning import EpisodeTrace, QTable, backward_pass
 
 from conftest import tiny_instance
 

@@ -15,8 +15,8 @@ from flexshop.data import load_bundled
 from flexshop.division import DivisionConfig, solve_divided
 from flexshop.environment import SchedulingEnv, SchedulingError, StepResult, WAIT
 from flexshop.instance import parse_instance
-from flexshop.prepopulate import EpisodeTrace
 from flexshop.qlearning import (
+    EpisodeTrace,
     LearnerConfig,
     QTable,
     _argmax,
@@ -373,6 +373,39 @@ class TestPlay:
         with pytest.raises(SchedulingError, match="stalls.*4 steps"):
             train(env, cfg)
 
+    def test_learner_steps_through_select_action_and_update(self, ft06,
+                                                            monkeypatch):
+        # Every played step, greedy tests included, picks its action with
+        # `select_action`; every training step learns by one `update`.
+        selected, updated, traces = [], [], []
+        steps = 0
+
+        def counted_select_action(q, obs, *args):
+            selected.append(obs)
+            return select_action(q, obs, *args)
+
+        def counted_update(q, s, a, *args):
+            updated.append((s, a))
+            update(q, s, a, *args)
+
+        class CountingEnv(SchedulingEnv):
+            def _apply(self, allocation):
+                nonlocal steps
+                steps += 1
+                return super()._apply(allocation)
+
+        monkeypatch.setattr(qlearning, "select_action", counted_select_action)
+        monkeypatch.setattr(qlearning, "update", counted_update)
+        monkeypatch.setattr(qlearning, "backward_pass",
+                            lambda q, trace, *args: traces.append(trace))
+        train(CountingEnv(ft06), LearnerConfig(episodes=40, test_interval=10,
+                                               seed=0))
+        played = [pair for trace in traces for pair in trace.pairs]
+        assert len(traces) == 40
+        assert updated == played
+        # Four greedy tests of at least one step each.
+        assert len(selected) == steps >= len(played) + 4
+
     @pytest.mark.parametrize("case", ["ft06", "la05", "la05 stage 2"])
     def test_reads_and_writes_nothing(self, case):
         cfg = DivisionConfig(episodes=60, test_interval=20, seed=3,
@@ -389,12 +422,10 @@ class TestPlay:
             env = SchedulingEnv(load_bundled(case))
             q = train(env, cfg).q
         before = len(q), list(q.items()), q._values.tobytes()
-        trace, handles, counts = qlearning._play(env, q, 0.5, Random(1))
+        trace, counts = qlearning._play(env, q, 0.5, Random(1))
         assert (len(q), list(q.items()), q._values.tobytes()) == before
         assert env.done
-        assert len(handles) == len(counts) == len(trace.pairs) > 0
-        assert handles == [q._rows.get(obs) for obs, _ in trace.pairs]
-        assert any(h is not None for h in handles)
+        assert len(counts) == len(trace.pairs) > 0
         # Each count is the length of the step's legal list.
         obs = env.reset()
         for (played, action), count in zip(trace.pairs, counts):

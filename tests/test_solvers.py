@@ -108,6 +108,11 @@ class TestEstimatorApi:
         # A flag is a bool: the string "no" is truthy.
         (LearnerConfig, "prepopulate", "no"),
         (LearnerConfig, "include_immediate_reward", 1),
+        # An enum field names its choices.
+        (BaselineConfig, "duration_mode", "median"),
+        (BaselineConfig, "duration_mode", None),
+        (DivisionConfig, "strategy", "foo"),
+        (DivisionConfig, "strategy", 2),
         # The epsilon bounds name the other field and its value.
         (LearnerConfig, "epsilon_start", 1.5),
         (LearnerConfig, "epsilon_min", -0.25),
@@ -240,6 +245,12 @@ class TestMakeSolver:
         # episodes applies to rl but not to fifo; fifo should ignore it.
         solver = make_solver("fifo", episodes=123)
         assert "episodes" not in solver.get_params()
+
+    def test_override_no_solver_takes_rejected(self):
+        # A misspelt name must not fall back to the default silently.
+        for name in ("rl", "fifo"):
+            with pytest.raises(ValueError, match=r"\['episode'\]"):
+                make_solver(name, episode=50)
 
     def test_divided_params_extend_learner_params(self):
         params = make_solver("rl-divided").get_params()
