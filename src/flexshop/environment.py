@@ -75,7 +75,7 @@ class SchedulingEnv:
         non-terminal state has a legal action."""
         self.instance = instance
         self._op_durations = tuple(
-            tuple(op.alternatives for op in job.operations)
+            tuple(dict(op.alternatives) for op in job.operations)
             for job in instance.jobs
         )
         # Per (job, op): the capable-machine bitmask.  Each job's row ends
@@ -297,6 +297,9 @@ class SchedulingEnv:
     def _check_executable(self, allocation: Allocation):
         if self.done:
             raise SchedulingError("step on terminal state")
+        if not isinstance(allocation, (tuple, list)):
+            raise SchedulingError("allocation must be a tuple or list, "
+                                  f"got {allocation!r}")
         if len(allocation) != self.instance.job_count:
             raise SchedulingError("allocation length mismatch")
         options = self._ready & self._free * self._spread

@@ -12,10 +12,12 @@ Machine ids are 1-based in files and 0-based internally.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 
 class InstanceError(ValueError):
@@ -29,17 +31,21 @@ class InstanceError(ValueError):
 
 @dataclass(frozen=True)
 class OperationSpec:
-    """One operation: the machines able to run it and their durations."""
+    """One operation: the machines able to run it and their durations.
 
-    alternatives: dict[int, int]
+    ``alternatives`` is a read-only copy of the dict passed in.
+    """
+
+    alternatives: Mapping[int, int]
 
     def __post_init__(self):
-        if not isinstance(self.alternatives, dict):
+        if not isinstance(self.alternatives, (dict, MappingProxyType)):
             raise InstanceError("alternatives must be a dict of machine -> "
                                 f"duration, got {self.alternatives!r}")
-        if not self.alternatives:
+        alternatives = dict(self.alternatives)
+        if not alternatives:
             raise InstanceError("operation has no machine alternatives")
-        for machine, duration in self.alternatives.items():
+        for machine, duration in alternatives.items():
             # True == 1, but a bool is no machine id or duration.
             if type(machine) is not int:
                 raise InstanceError(f"machine id {machine!r} is not an int")
@@ -49,9 +55,11 @@ class OperationSpec:
             if machine < 0:
                 raise InstanceError(f"negative machine id {machine}")
             if duration < 1:
-                raise InstanceError(
-                    f"duration {duration} on machine {machine} must be >= 1"
-                )
+                raise InstanceError(f"duration {duration} must be >= 1")
+        object.__setattr__(self, "alternatives", MappingProxyType(alternatives))
+
+    def __reduce__(self):  # a mappingproxy cannot be pickled
+        return OperationSpec, (dict(self.alternatives),)
 
     def machines(self) -> list[int]:
         return sorted(self.alternatives)
@@ -79,20 +87,29 @@ DURATION_MODES = {DurationMode.MEAN: OperationSpec.mean_duration,
                   DurationMode.MAX: OperationSpec.max_duration}
 
 
+def _own_members(spec, field: str, kind: type, owner: str):
+    """Store a non-empty tuple or list of ``kind`` as a tuple, or refuse it."""
+    members = getattr(spec, field)
+    if not isinstance(members, (tuple, list)):
+        raise InstanceError(f"{field} must be a tuple or list of "
+                            f"{kind.__name__}, got {members!r}")
+    if not members:
+        raise InstanceError(f"{owner} has no {field}")
+    for i, member in enumerate(members):
+        if not isinstance(member, kind):
+            raise InstanceError(
+                f"{field}[{i}] must be {kind.__name__}, got {member!r}")
+    object.__setattr__(spec, field, tuple(members))
+
+
 @dataclass(frozen=True)
 class JobSpec:
-    """An ordered chain of operations; list order is the precedence order.
-
-    An :class:`Instance` requires every job to hold at least one operation.
-    """
+    """An ordered chain of one or more operations, in precedence order."""
 
     operations: tuple[OperationSpec, ...]
 
     def __post_init__(self):
-        for o, op in enumerate(self.operations):
-            if not isinstance(op, OperationSpec):
-                raise InstanceError(
-                    f"operations[{o}] must be OperationSpec, got {op!r}")
+        _own_members(self, "operations", OperationSpec, "job")
 
     def __len__(self) -> int:
         return len(self.operations)
@@ -108,13 +125,8 @@ class Instance:
         if type(self.machine_count) is not int or self.machine_count < 1:
             raise InstanceError("machine_count must be an int >= 1, "
                                 f"got {self.machine_count!r}")
-        if not self.jobs:
-            raise InstanceError("instance has no jobs")
+        _own_members(self, "jobs", JobSpec, "instance")
         for j, job in enumerate(self.jobs):
-            if not isinstance(job, JobSpec):
-                raise InstanceError(f"jobs[{j}] must be JobSpec, got {job!r}")
-            if not job.operations:
-                raise InstanceError(f"job {j} has no operations")
             for o, op in enumerate(job.operations):
                 for machine in op.alternatives:
                     if machine >= self.machine_count:
@@ -197,35 +209,29 @@ def parse_instance(text: str, name: str = "instance") -> Instance:
             pos += 1
             return value
 
-        op_count = take("operation count")
-        if op_count < 1:
-            raise InstanceError(f"job must have >= 1 operations, got {op_count}", lineno)
         ops = []
-        for _ in range(op_count):
-            alt_count = take("alternative count")
-            if alt_count < 1:
-                raise InstanceError(
-                    f"operation must have >= 1 alternatives, got {alt_count}", lineno
-                )
+        for _ in range(take("operation count")):
             alternatives: dict[int, int] = {}
-            for _ in range(alt_count):
+            for _ in range(take("alternative count")):
                 machine = take("machine id")
                 duration = take("duration")
                 if not 1 <= machine <= machine_count:
                     raise InstanceError(
                         f"machine id {machine} out of range 1..{machine_count}", lineno
                     )
-                if duration < 1:
-                    raise InstanceError(f"duration {duration} must be >= 1", lineno)
                 if machine - 1 in alternatives:
                     raise InstanceError(f"duplicate machine id {machine}", lineno)
                 alternatives[machine - 1] = duration
-            ops.append(OperationSpec(alternatives))
+            ops.append(alternatives)
         if pos != len(tokens):
             raise InstanceError(
                 f"{len(tokens) - pos} trailing tokens after last operation", lineno
             )
-        jobs.append(JobSpec(tuple(ops)))
+        # The model owns the rules on counts and durations.
+        try:
+            jobs.append(JobSpec([OperationSpec(a) for a in ops]))
+        except InstanceError as err:
+            raise InstanceError(str(err), lineno) from None
 
     return Instance(machine_count=machine_count, jobs=tuple(jobs), name=name)
 

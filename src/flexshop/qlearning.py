@@ -242,8 +242,9 @@ def backward_pass(q: QTable, trace: EpisodeTrace,
     for (obs, action), reward in zip(reversed(trace.pairs), reversed(trace.rewards)):
         if include_immediate_reward:
             cumulative += reward
-        # Unseen pairs always take the observed value; the optimistic default
-        # of 0 would otherwise block every negative cumulative reward.
+        # On a fresh table an unseen pair takes the observed value, which the
+        # optimistic default of 0 would otherwise block.  Inside `train` no
+        # pair is unseen: `_rollout`'s TD pass has stored the whole trace.
         keep_max(obs, action, cumulative)
         if not include_immediate_reward:
             cumulative += reward

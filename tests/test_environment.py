@@ -256,9 +256,13 @@ class TestStep:
         ([], (3, WAIT), "job 0 cannot be assigned machine 3"),
         ([], (-2, WAIT), "job 0 cannot be assigned machine -2"),
         ([], (WAIT, -2), "job 1 cannot be assigned machine -2"),
+        ([], 5, "allocation must be a tuple or list, got 5"),
+        ([], None, "allocation must be a tuple or list, got None"),
+        ([], (m for m in (0, WAIT)), "allocation must be a tuple or list, "
+                                     "got <generator"),
     ], ids=["terminal", "length", "twice", "not-assignable", "pure-wait",
             "float", "bool", "float-wait", "machine-count", "past-count",
-            "negative", "negative-next-job"])
+            "negative", "negative-next-job", "int", "none", "generator"])
     def test_step_allocation_rejects_before_mutating(self, before, allocation,
                                                      message):
         env = SchedulingEnv(parse_instance("2 2\n1 2 1 5 2 3\n1 1 2 4\n"))

@@ -1,12 +1,17 @@
 """Instance parsing, validation, serialization, and mean durations."""
 
+import copy
+import dataclasses
+import pickle
 import re
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flexshop import make_solver
 from flexshop.instance import (
     Instance,
     InstanceError,
@@ -59,9 +64,20 @@ class TestParse:
         with pytest.raises(InstanceError, match="out of range"):
             parse_instance("1 1\n1 1 2 5\n")
 
+    # The model's rules reach a file's errors with the line number, and
+    # never with a 0-based machine id.
     def test_zero_duration(self):
-        with pytest.raises(InstanceError, match="duration"):
+        with pytest.raises(InstanceError, match="^line 2: duration") as err:
             parse_instance("1 1\n1 1 1 0\n")
+        assert "machine 0" not in str(err.value)
+
+    @pytest.mark.parametrize("text, match", [
+        ("1 1\n1 0\n", "operation has no machine alternatives"),
+        ("1 1\n0\n", "job has no operations"),
+    ], ids=["zero-alternatives", "zero-operations"])
+    def test_empty_counts_name_line(self, text, match):
+        with pytest.raises(InstanceError, match=f"^line 2: {match}"):
+            parse_instance(text)
 
     def test_trailing_tokens(self):
         with pytest.raises(InstanceError, match="trailing"):
@@ -147,12 +163,114 @@ class TestModel:
             Instance(1, ())
 
     def test_job_needs_operations(self):
-        with pytest.raises(InstanceError, match="job 1 has no operations"):
-            Instance(1, (JobSpec((OperationSpec({0: 5}),)), JobSpec(())))
+        with pytest.raises(InstanceError, match="^job has no operations$"):
+            JobSpec(())
 
     def test_total_operations(self):
         inst = parse_instance("2 2\n2 1 1 3 1 2 4\n1 1 1 5\n")
         assert inst.total_operations == 3
+
+
+def _constructor_args():
+    """Arguments for OperationSpec, JobSpec and Instance: arbitrary nested
+    Python values, mixed with near-valid ones so that some models build."""
+    operations = st.builds(OperationSpec, st.dictionaries(
+        st.integers(0, 2), st.integers(1, 5), min_size=1, max_size=3))
+    jobs = st.builds(JobSpec, st.lists(operations, min_size=1, max_size=3))
+    keys = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+                     st.floats(), st.text(max_size=2))
+    nested = st.recursive(
+        st.one_of(keys, st.integers(), operations, jobs),
+        lambda children: st.one_of(
+            st.lists(children, max_size=3),
+            st.lists(children, max_size=3).map(tuple),
+            st.lists(children, max_size=3).map(lambda xs: (x for x in xs)),
+            st.dictionaries(keys, children, max_size=3)),
+        max_leaves=8)
+
+    def members(kind):
+        return st.one_of(st.lists(st.one_of(kind, nested), max_size=3),
+                         st.lists(kind, max_size=3).map(tuple), nested)
+    return st.tuples(
+        st.one_of(st.dictionaries(st.integers(-1, 3), st.integers(-1, 5),
+                                  max_size=3), nested),
+        members(operations),
+        st.one_of(st.integers(-1, 4), nested),
+        members(jobs))
+
+
+class TestOwnership:
+    """The model checks, copies and freezes what it is given."""
+
+    def test_caller_dict_change_does_not_reach_model(self):
+        alternatives = {0: 3}
+        inst = Instance(1, (JobSpec((OperationSpec(alternatives),)),))
+        alternatives[0] = -4
+        assert inst.jobs[0].operations[0].alternatives == {0: 3}
+        assert make_solver("fifo").fit(inst).best_makespan_ == 3
+
+    def test_alternatives_are_read_only(self):
+        op = OperationSpec({0: 3})
+        with pytest.raises(TypeError):
+            op.alternatives[0] = -4
+        assert op.alternatives == {0: 3}
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: JobSpec(op for op in [OperationSpec({0: 3})]), "operations"),
+        (lambda: Instance(2, 5), "jobs"),
+        (lambda: JobSpec(5), "operations"),
+        (lambda: JobSpec("op"), "operations"),
+        (lambda: JobSpec({0: OperationSpec({0: 3})}), "operations"),
+        (lambda: Instance(1, (j for j in [JobSpec((OperationSpec({0: 3}),))])),
+         "jobs"),
+    ], ids=["generator", "int-jobs", "int-operations", "str-operations",
+            "dict-operations", "generator-jobs"])
+    def test_non_sequence_members_name_the_field(self, build, field):
+        with pytest.raises(InstanceError, match=f"^{field} must be a tuple or "
+                                                "list of"):
+            build()
+
+    def test_stored_alternatives_build_an_equal_operation(self):
+        op = OperationSpec({0: 3, 2: 1})
+        assert OperationSpec(op.alternatives) == op
+        assert dataclasses.replace(op) == op
+
+    def test_list_members_stored_as_tuples(self):
+        op = OperationSpec({0: 3})
+        inst = Instance(1, [JobSpec([op, op])])
+        assert type(inst.jobs) is tuple
+        assert type(inst.jobs[0].operations) is tuple
+        assert inst == Instance(1, (JobSpec((op, op)),))
+
+    def test_pickle_and_deepcopy_round_trip(self, toy, ft06, flex06, la05):
+        for inst in (toy, ft06, flex06, la05):
+            for again in (pickle.loads(pickle.dumps(inst)),
+                          copy.deepcopy(inst)):
+                assert again == inst
+                assert again.name == inst.name
+                op = again.jobs[0].operations[0]
+                with pytest.raises(TypeError):
+                    op.alternatives[0] = 1
+
+    @given(_constructor_args())
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_values_give_instance_error_or_valid_model(self, args):
+        alternatives, operations, machine_count, jobs = args
+        builds = [(OperationSpec, (alternatives,)), (JobSpec, (operations,)),
+                  (Instance, (machine_count, jobs))]
+        for kind, args in builds:
+            try:
+                model = kind(*args)
+            except InstanceError:
+                continue
+            if kind is OperationSpec:
+                assert type(model.alternatives) is MappingProxyType
+                assert all(type(m) is int and m >= 0 and type(d) is int
+                           and d >= 1 for m, d in model.alternatives.items())
+            elif kind is JobSpec:
+                assert type(model.operations) is tuple and model.operations
+            else:
+                assert parse_instance(write_instance(model)) == model
 
 
 class TestWrite:
