@@ -15,6 +15,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from graphlib import CycleError, TopologicalSorter
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .instance import Instance
@@ -44,7 +45,10 @@ class SchedulingEnv:
 
     Besides the public per-job and per-machine arrays, the state keeps
     ``_unfinished`` (jobs with operations left), ``_free`` (bit m set while
-    machine m is idle) and ``_log``, the assignments as plain tuples.
+    machine m is idle), ``_log``, the assignments as plain tuples, and
+    ``_events``, a heap of ``(end, machine)`` per busy machine.  The skip
+    loop jumps the clock to its earliest end and pops every entry ending
+    then, ties in machine order.  `machine_remaining` is derived from it.
 
     The option masks live packed in one int, ``_ready``: lane j (bits
     ``j*M`` to ``j*M + M - 1``, M machines) holds job j's current-operation
@@ -58,7 +62,8 @@ class SchedulingEnv:
     Legal allocations are cached at one level: ``_memo`` maps an option
     signature (`_signature`) to its list, and ``_interned`` makes equal
     vectors of different signatures one tuple.  `clone` shares both.  The
-    package's loops hold the list they looked up and step with `_apply`.
+    package's loops hold the list they looked up and step with `_apply`,
+    which returns only the reward.
 
     ``job_op`` and ``job_machine`` are ``array``s of typecode ``"b"`` (signed
     byte, which holds ``IDLE``) while the machine count and every job's
@@ -173,7 +178,7 @@ class SchedulingEnv:
         self.job_op = array(code, [0]) * inst.job_count
         self.job_machine = array(code, [IDLE]) * inst.job_count
         self.machine_job = [IDLE] * inst.machine_count
-        self.machine_remaining = [0] * inst.machine_count
+        self._events: list[tuple[int, int]] = []  # (end, machine), a heap
         # (job, op, machine, start, end) per assignment, in order.
         self._log: list[tuple[int, int, int, int, int]] = []
         self._unfinished = inst.job_count
@@ -189,13 +194,21 @@ class SchedulingEnv:
         other.job_op = self.job_op[:]
         other.job_machine = self.job_machine[:]
         other.machine_job = list(self.machine_job)
-        other.machine_remaining = list(self.machine_remaining)
+        other._events = list(self._events)
         other._log = list(self._log)
         return other
 
     @property
     def done(self) -> bool:
         return self._unfinished == 0
+
+    @property
+    def machine_remaining(self) -> list[int]:
+        """Per machine, the time left on its operation; 0 while idle."""
+        remaining = [0] * self.instance.machine_count
+        for end, machine in self._events:
+            remaining[machine] = end - self.clock
+        return remaining
 
     def observation(self) -> bytes:
         """Per-job machine assignment (IDLE = -1), then per-job current
@@ -276,6 +289,8 @@ class SchedulingEnv:
     # -- stepping ---------------------------------------------------------
 
     def step(self, action: int) -> StepResult:
+        if self.done:
+            raise SchedulingError("step on terminal state")
         if type(action) is not int:  # True would run action 1
             raise SchedulingError(f"action {action!r} is not an int")
         legal = self.legal_allocations()
@@ -283,7 +298,7 @@ class SchedulingEnv:
             raise SchedulingError(
                 f"action index {action} out of range 0..{len(legal) - 1}"
             )
-        return self._apply(legal[action])
+        return self._result(self._apply(legal[action]))
 
     def step_allocation(self, allocation: Allocation) -> StepResult:
         """Step by allocation vector, bypassing index enumeration.
@@ -292,7 +307,10 @@ class SchedulingEnv:
         instances too large for full enumeration at every state.
         """
         self._check_executable(allocation)
-        return self._apply(tuple(allocation))
+        return self._result(self._apply(tuple(allocation)))
+
+    def _result(self, reward: int) -> StepResult:
+        return StepResult(self.observation(), reward, self.done, self.clock)
 
     def _check_executable(self, allocation: Allocation):
         if self.done:
@@ -324,12 +342,12 @@ class SchedulingEnv:
         if not used and self._free == self._all_free:
             raise SchedulingError("pure wait is not legal in an all-idle state")
 
-    def _apply(self, allocation: Allocation) -> StepResult:
+    def _apply(self, allocation: Allocation) -> int:
         clock = clock_before = self.clock
         job_op = self.job_op
         job_machine = self.job_machine
         machine_job = self.machine_job
-        remaining = self.machine_remaining
+        events = self._events
         durations = self._op_durations
         lanes = self._lanes
         log = self._log
@@ -339,13 +357,13 @@ class SchedulingEnv:
         for job, machine in enumerate(allocation):
             if machine != WAIT:
                 op = job_op[job]
-                duration = durations[job][op][machine]
+                end = clock + durations[job][op][machine]
                 job_machine[job] = machine
                 machine_job[machine] = job
-                remaining[machine] = duration
+                heappush(events, (end, machine))
                 free &= ~(1 << machine)
                 ready ^= lanes[job][op]  # set: the job was idle and ready
-                log.append((job, op, machine, clock, clock + duration))
+                log.append((job, op, machine, clock, end))
         force_advance = free == self._free  # a pure wait
 
         # Skip intermediate states: advance to assignment completions until a
@@ -358,37 +376,32 @@ class SchedulingEnv:
         unfinished = self._unfinished
         while unfinished and (force_advance or not ready & free * spread):
             force_advance = False
-            dt = min(filter(None, remaining))  # idle machines hold 0
-            clock += dt
-            for m, r in enumerate(remaining):
-                if r:
-                    r -= dt
-                    remaining[m] = r
-                    if not r:
-                        job = machine_job[m]
-                        machine_job[m] = IDLE
-                        job_machine[job] = IDLE
-                        op = job_op[job] + 1
-                        job_op[job] = op
-                        free |= 1 << m
-                        lane = lanes[job][op]
-                        if not lane:
-                            unfinished -= 1
-                        elif (after is None
-                              or (pred := before[job][op]) is None
-                              or job_op[pred[0]] > pred[1]):
-                            ready |= lane  # not waiting on its predecessor
-                        if (after is not None
-                                and (nxt := after[job][op - 1]) is not None
-                                and job_op[nxt[0]] == nxt[1]):
-                            ready |= lanes[nxt[0]][nxt[1]]  # it waited on m
+            clock = events[0][0]
+            while events and events[0][0] == clock:
+                m = heappop(events)[1]
+                job = machine_job[m]
+                machine_job[m] = IDLE
+                job_machine[job] = IDLE
+                op = job_op[job] + 1
+                job_op[job] = op
+                free |= 1 << m
+                lane = lanes[job][op]
+                if not lane:
+                    unfinished -= 1
+                elif (after is None
+                      or (pred := before[job][op]) is None
+                      or job_op[pred[0]] > pred[1]):
+                    ready |= lane  # not waiting on its predecessor
+                if (after is not None
+                        and (nxt := after[job][op - 1]) is not None
+                        and job_op[nxt[0]] == nxt[1]):
+                    ready |= lanes[nxt[0]][nxt[1]]  # it waited on m
 
         self._free = free
         self._ready = ready
         self._unfinished = unfinished
         self.clock = clock
-        return StepResult(self.observation(), clock_before - clock,
-                          self.done, clock)
+        return clock_before - clock
 
     # -- results ----------------------------------------------------------
 

@@ -268,10 +268,10 @@ def _play(env: SchedulingEnv, q: QTable, epsilon: float, rng: Random | None
         pairs.append((obs, action))
         counts.append(len(legal))
         # The index comes from `legal`, so `step`'s checks cannot fail.
-        obs, reward, done, _ = env._apply(legal[action])
-        rewards.append(reward)
-        if done:
+        rewards.append(env._apply(legal[action]))
+        if env.done:
             return EpisodeTrace(pairs, rewards), counts
+        obs = env.observation()
     raise SchedulingError(f"episode on {env.instance.name} "
                           f"did not end in {limit} steps")
 

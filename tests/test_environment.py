@@ -237,7 +237,7 @@ class TestStep:
     def test_step_on_terminal(self, one_by_one):
         env = SchedulingEnv(one_by_one)
         env.step(0)
-        with pytest.raises(SchedulingError):
+        with pytest.raises(SchedulingError, match="^step on terminal state$"):
             env.step(0)
 
     # Job 0 runs on machine 0 or 1, job 1 on machine 1 only.

@@ -14,7 +14,7 @@ from scipy.stats import chisquare
 from flexshop import division, make_solver, qlearning
 from flexshop.data import load_bundled
 from flexshop.division import DivisionConfig, solve_divided
-from flexshop.environment import SchedulingEnv, SchedulingError, StepResult, WAIT
+from flexshop.environment import SchedulingEnv, SchedulingError, WAIT
 from flexshop.instance import parse_instance
 from flexshop.qlearning import (
     EpisodeTrace,
@@ -313,7 +313,7 @@ class PureWaitHolds(SchedulingEnv):
             self.held += 1
             if self.held > 50:
                 raise RuntimeError("no stall guard: 50 held waits")
-            return StepResult(self.observation(), 0, False, self.clock)
+            return 0
         return super()._apply(allocation)
 
 
